@@ -377,6 +377,67 @@ TEST(Io, BinRejectsBadMagic) {
   std::remove(path.c_str());
 }
 
+/// Writes a .bin header (magic, order, nnz, dims) plus \p payload bytes.
+void write_bin_header(const std::string& path, std::uint32_t order,
+                      std::uint64_t nnz, std::size_t payload) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("SPTDBIN1", 8);
+  out.write(reinterpret_cast<const char*>(&order), sizeof(order));
+  out.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+  for (std::uint32_t m = 0; m < order; ++m) {
+    const idx_t d = 4;
+    out.write(reinterpret_cast<const char*>(&d), sizeof(d));
+  }
+  out << std::string(payload, '\0');
+}
+
+std::string bin_error(const std::string& path) {
+  try {
+    (void)read_bin_file(path);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "<no error>";
+}
+
+TEST(Io, BinRejectsTruncatedFile) {
+  // A valid file cut short anywhere fails with a structured error.
+  const SparseTensor t = generate_synthetic(
+      {.dims = {20, 30, 40}, .nnz = 100, .seed = 9});
+  const std::string path = temp_path("sptd_test_truncated.bin");
+  write_bin_file(t, path);
+  const auto full = std::filesystem::file_size(path);
+  for (const auto keep : {full - 1, full / 2, std::uintmax_t{30},
+                          std::uintmax_t{21}, std::uintmax_t{10}}) {
+    std::filesystem::resize_file(path, keep);
+    EXPECT_THROW(read_bin_file(path), Error) << "kept " << keep << " bytes";
+  }
+  // Header intact, one nonzero's worth of payload missing.
+  write_bin_header(path, 3, 2, 3 * sizeof(idx_t) + sizeof(val_t));
+  EXPECT_NE(bin_error(path).find("declares 2 nonzeros but the file holds "
+                                 "at most 1"),
+            std::string::npos)
+      << bin_error(path);
+  std::remove(path.c_str());
+}
+
+TEST(Io, BinRejectsHugeDeclaredNnzBeforeAllocating) {
+  // 2^40 declared nonzeros in a 28-byte file: rejected from the file size,
+  // not by trying to zero-fill terabytes.
+  const std::string path = temp_path("sptd_test_huge_nnz.bin");
+  write_bin_header(path, 2, std::uint64_t{1} << 40, 0);
+  ASSERT_EQ(std::filesystem::file_size(path), 28u);
+  EXPECT_NE(bin_error(path).find("declares 1099511627776 nonzeros"),
+            std::string::npos)
+      << bin_error(path);
+  // A header whose dims run past the end of the file.
+  write_bin_header(path, 8, 0, 0);
+  std::filesystem::resize_file(path, 30);
+  EXPECT_NE(bin_error(path).find("truncated header"), std::string::npos)
+      << bin_error(path);
+  std::remove(path.c_str());
+}
+
 TEST(Io, MissingFileThrows) {
   EXPECT_THROW(read_tns_file("/nonexistent/path/file.tns"), Error);
   EXPECT_THROW(read_bin_file("/nonexistent/path/file.bin"), Error);

@@ -121,6 +121,31 @@ grep -q "resumed from iteration" <<< "$IOFAIL_RESUME_OUT" \
   || { echo "ci: resume after torn checkpoint failed" >&2; exit 1; }
 echo "ci: fault-injection matrix recovered on every class"
 
+echo "== ingest smoke: .tns parse independent of team size and backend =="
+# A ~22 MB .tns spans several 4 MiB parser blocks. The parse team comes
+# from OMP_NUM_THREADS (omp) or the pool's width; the decomposition runs
+# on one thread, so any difference in the model files is an ingest bug.
+ING_DIR="$BUILD_DIR/ingest_smoke"
+rm -rf "$ING_DIR"
+mkdir -p "$ING_DIR"
+"$BUILD_DIR/sptd" generate --preset nell-2 --scale 0.01 \
+  "$ING_DIR/multi.tns" > /dev/null
+ING_BYTES="$(stat -c %s "$ING_DIR/multi.tns")"
+if [ "$ING_BYTES" -le $((2 * 4 * 1024 * 1024)) ]; then
+  echo "ci: ingest smoke input does not span three parser blocks" >&2
+  exit 1
+fi
+OMP_NUM_THREADS=1 "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 1 --output "$ING_DIR/t1.model" > /dev/null
+OMP_NUM_THREADS=4 "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 1 --output "$ING_DIR/t4.model" > /dev/null
+SPTD_BACKEND=pool "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 1 --output "$ING_DIR/pool.model" \
+  > /dev/null
+cmp "$ING_DIR/t1.model" "$ING_DIR/t4.model"
+cmp "$ING_DIR/t1.model" "$ING_DIR/pool.model"
+echo "ci: ingest models are bitwise identical across team sizes and backends"
+
 echo "== dist smoke: shm transport matches sim bitwise =="
 # The fork-per-locale shared-memory transport must reproduce the
 # in-process simulation exactly (both sum partials in locale order, one
