@@ -9,6 +9,8 @@
 ///          csf+privatize  — SPLATT's privatized CSF kernel
 ///        on both uniform and heavily skewed tensors (skew is tiling's
 ///        weak spot: tile balance degrades as single slices dominate).
+///        Every row emits a --json record, so the ledger carries the
+///        evidence for keeping (or dropping) the tiling ablation.
 
 #include <cstdio>
 
@@ -91,6 +93,12 @@ int main(int argc, char** argv) {
         mttkrp_coo(x, factors, mode, out, mo);
       });
       std::printf("  %-16s %10.4f s\n", "coo+locks", s);
+      emit_json_record(cli, "ablation_tiling",
+                       JsonRecord()
+                           .field("config", "coo+locks")
+                           .field("zipf", skew)
+                           .field("threads", std::int64_t{nthreads})
+                           .field("seconds", s));
     }
     {
       // --schedule static gives the uniform-row-range tile baseline;
@@ -128,25 +136,15 @@ int main(int argc, char** argv) {
         const double s = time_reps(iters, [&] {
           mttkrp(set, factors, mode, out, ws);
         });
-        std::printf("  %-16s %10.4f s  (strategy %s)\n",
-                    privatize ? "csf+privatize" : "csf+locks", s,
+        const char* config = privatize ? "csf+privatize" : "csf+locks";
+        std::printf("  %-16s %10.4f s  (strategy %s)\n", config, s,
                     sync_strategy_name(ws.last_strategy));
-      }
-      // CSF-level leaf tiling (the omitted SPLATT feature, full form):
-      // only applicable when the output mode sits at the leaf of the rep.
-      int level = 0;
-      const CsfTensor& rep = set.csf_for_mode(mode, level);
-      if (level == rep.order() - 1) {
-        MttkrpOptions mo;
-        mo.nthreads = nthreads;
-        apply_kernel_flags(cli, mo);
-        mo.use_tiling = true;
-        MttkrpWorkspace ws(mo, rank, x.order());
-        const double s = time_reps(iters, [&] {
-          mttkrp(set, factors, mode, out, ws);
-        });
-        std::printf("  %-16s %10.4f s  (strategy %s)\n", "csf+tiled", s,
-                    sync_strategy_name(ws.last_strategy));
+        emit_json_record(cli, "ablation_tiling",
+                         JsonRecord()
+                             .field("config", config)
+                             .field("zipf", skew)
+                             .field("threads", std::int64_t{nthreads})
+                             .field("seconds", s));
       }
     }
   }

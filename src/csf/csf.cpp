@@ -259,24 +259,6 @@ PtrStreamRef CsfTensor::ptr_stream(int level) const {
       fptrs_[static_cast<std::size_t>(level)]);
 }
 
-std::span<const idx_t> CsfTensor::fids(int level) const {
-  const auto* v = std::get_if<std::vector<idx_t>>(
-      &fids_[static_cast<std::size_t>(level)]);
-  SPTD_CHECK(v != nullptr,
-             "CsfTensor::fids: level not stored at idx_t width (use "
-             "fid()/fid_stream() or the wide layout)");
-  return *v;
-}
-
-std::span<const nnz_t> CsfTensor::fptr(int level) const {
-  const auto* v = std::get_if<std::vector<nnz_t>>(
-      &fptrs_[static_cast<std::size_t>(level)]);
-  SPTD_CHECK(v != nullptr,
-             "CsfTensor::fptr: level not stored at nnz_t width (use "
-             "ptr()/ptr_stream() or the wide layout)");
-  return *v;
-}
-
 int CsfTensor::level_of_mode(int mode) const {
   for (int l = 0; l < order(); ++l) {
     if (mode_order_[static_cast<std::size_t>(l)] == mode) {

@@ -53,8 +53,8 @@ const char* csf_layout_name(CsfLayout layout);
 
 /// Typed view of one CSF level: the fiber-id stream as FidT and the
 /// child-extent stream as PtrT. Obtainable only when the stored widths
-/// match (CsfTensor::level_view checks); the MTTKRP dispatch selects the
-/// instantiation from fid_width()/ptr_width() once per kernel launch.
+/// match (CsfTensor::level_view checks). The MTTKRP kernel table keys its
+/// typed views on fid_width()/ptr_width() the same way.
 template <typename FidT, typename PtrT>
 struct CsfLevelView {
   const FidT* fids = nullptr;
@@ -183,14 +183,6 @@ class CsfTensor {
   /// null and PtrT is not checked.
   template <typename FidT, typename PtrT>
   [[nodiscard]] CsfLevelView<FidT, PtrT> level_view(int level) const;
-
-  /// Wide-layout convenience span (the seed's accessor): valid only when
-  /// the level's fids are stored at sizeof(idx_t) — always true under
-  /// CsfLayout::kWide. Throws otherwise.
-  [[nodiscard]] std::span<const idx_t> fids(int level) const;
-
-  /// Wide-layout convenience span over fptr; requires u64 storage.
-  [[nodiscard]] std::span<const nnz_t> fptr(int level) const;
 
   /// Leaf values, aligned with the leaf fid stream.
   [[nodiscard]] std::span<const val_t> vals() const { return vals_; }

@@ -11,7 +11,7 @@
 ///  * generic runtime-length loops (`axpy`, `hadamard_accum`, ...) over
 ///    `restrict`-qualified pointers — the fallback for any rank;
 ///  * compile-time-width instantiations (`axpy_r<R>`, `hadamard_accum_r<R>`,
-///    `dot_r<R>`, `scale_r<R>`, ...) for R in {4, 8, 16, 32, 40, 64}, which
+///    `dot_r<R>`, `scale_r<R>`, ...) for R in `kInstantiatedWidths`, which
 ///    the compiler fully unrolls and vectorizes;
 ///  * `fixed_width_for(rank)` — the dispatch map from a runtime rank to the
 ///    specialized width (0 = no specialization, use the generic loops).
@@ -41,8 +41,11 @@
 /// behaviour on unaligned input — callers that cannot guarantee alignment
 /// must use the generic loops.
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "common/aligned.hpp"
 #include "common/types.hpp"
@@ -77,21 +80,22 @@ constexpr idx_t padded_cols(idx_t cols) {
   return padded_cols_for<val_t>(cols);
 }
 
-/// True for the widths the kernel layer instantiates. 40 exists for the
-/// paper's default rank 35 (padded_cols(35) == 40); the remaining widths
-/// are the power-of-two sweep of the kernel benches.
+/// The widths the kernel layer instantiates — the one place the set is
+/// written. 40 exists for the paper's default rank 35 (padded_cols(35) ==
+/// 40); the remaining widths are the power-of-two sweep of the kernel
+/// benches. is_instantiated_width(), dispatch_width() and the MTTKRP
+/// kernel table (mttkrp.cpp) are all generated from this list.
+inline constexpr std::array<idx_t, 6> kInstantiatedWidths = {4,  8,  16,
+                                                             32, 40, 64};
+
+/// True for the widths in kInstantiatedWidths.
 constexpr bool is_instantiated_width(idx_t width) {
-  switch (width) {
-    case 4:
-    case 8:
-    case 16:
-    case 32:
-    case 40:
-    case 64:
+  for (const idx_t w : kInstantiatedWidths) {
+    if (w == width) {
       return true;
-    default:
-      return false;
+    }
   }
+  return false;
 }
 
 /// The compile-time kernel width serving a runtime rank: the rank itself
@@ -379,26 +383,19 @@ struct RowOps {
 };
 
 /// Invokes fn(std::integral_constant<idx_t, W>{}) with W the instantiated
-/// width serving \p width (one of the is_instantiated_width() set), or
-/// W = 0 for the generic fallback. The single runtime switch every
-/// RowOps-templated pass performs.
-template <typename Fn>
+/// width serving \p width (one of kInstantiatedWidths), or W = 0 for the
+/// generic fallback. The single runtime switch every RowOps-templated
+/// pass performs; \p I walks kInstantiatedWidths and is never passed.
+template <std::size_t I = 0, typename Fn>
 decltype(auto) dispatch_width(idx_t width, Fn&& fn) {
-  switch (width) {
-    case 4:
-      return fn(std::integral_constant<idx_t, 4>{});
-    case 8:
-      return fn(std::integral_constant<idx_t, 8>{});
-    case 16:
-      return fn(std::integral_constant<idx_t, 16>{});
-    case 32:
-      return fn(std::integral_constant<idx_t, 32>{});
-    case 40:
-      return fn(std::integral_constant<idx_t, 40>{});
-    case 64:
-      return fn(std::integral_constant<idx_t, 64>{});
-    default:
-      return fn(std::integral_constant<idx_t, 0>{});
+  if constexpr (I == kInstantiatedWidths.size()) {
+    return fn(std::integral_constant<idx_t, 0>{});
+  } else {
+    constexpr idx_t kW = kInstantiatedWidths[I];
+    if (width == kW) {
+      return fn(std::integral_constant<idx_t, kW>{});
+    }
+    return dispatch_width<I + 1>(width, std::forward<Fn>(fn));
   }
 }
 

@@ -1,8 +1,12 @@
 #include "mttkrp/mttkrp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <span>
+#include <type_traits>
+#include <utility>
 
 #include "common/aligned.hpp"
 #include "parallel/partition.hpp"
@@ -23,7 +27,6 @@ const char* sync_strategy_name(SyncStrategy s) {
     case SyncStrategy::kNone:      return "none";
     case SyncStrategy::kLock:      return "lock";
     case SyncStrategy::kPrivatize: return "privatize";
-    case SyncStrategy::kTile:      return "tile";
   }
   return "?";
 }
@@ -60,12 +63,6 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
   if (opts.force_locks) {
     return SyncStrategy::kLock;
   }
-  // Tiling applies to leaf kernels only: upper levels would need 2-D
-  // tiling to keep both the walk and the writes partitioned.
-  if (opts.use_tiling &&
-      level == static_cast<int>(dims.size()) - 1) {
-    return SyncStrategy::kTile;
-  }
   if (opts.allow_privatization) {
     const double replicated =
         static_cast<double>(dims[static_cast<std::size_t>(out_mode)]) *
@@ -78,9 +75,22 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
   return SyncStrategy::kLock;
 }
 
+namespace {
+/// Applies opts.backend process-wide and passes the options through: the
+/// workspace's first member initializer, so the backend is active before
+/// pool_ captures its BackendLock flavor.
+const MttkrpOptions& with_backend_applied(const MttkrpOptions& opts) {
+  set_parallel_backend(opts.backend);
+  return opts;
+}
+}  // namespace
+
 MttkrpWorkspace::MttkrpWorkspace(const MttkrpOptions& opts, idx_t rank,
                                  int order)
-    : opts_(opts), rank_(rank), order_(order), pool_(opts.lock_kind) {
+    : opts_(with_backend_applied(opts)),
+      rank_(rank),
+      order_(order),
+      pool_(opts.lock_kind) {
   SPTD_CHECK(opts.nthreads >= 1, "MttkrpWorkspace: nthreads must be >= 1");
   SPTD_CHECK(rank >= 1, "MttkrpWorkspace: rank must be >= 1");
   // Checked here, before the unsigned cast at the SliceSchedule call
@@ -132,8 +142,8 @@ namespace {
 // their stored width with typed loads. The small upper-level streams (one
 // read per fiber or per root slice) go through the width-erased stream
 // refs, whose predictable 3-way switch is noise next to the factor-row
-// gathers. mttkrp_csf_exec selects the view instantiation once per kernel
-// launch, exactly like it selects the kernel width and sync strategy.
+// gathers. The kernel table (below) instantiates each bundle over a list
+// of view types; plan_mode() picks the row matching the stored widths.
 // ---------------------------------------------------------------------
 
 template <typename LeafFids, typename DeepFptr>
@@ -144,56 +154,57 @@ struct CsfView {
   std::array<PtrStreamRef, kMaxOrder> fptr{};   ///< width-erased, 0..order-2
 };
 
-template <typename T>
-const T* typed_fid_stream(const CsfTensor& csf, int level) {
-  const FidStreamRef s = csf.fid_stream(level);
-  SPTD_CHECK(s.width == sizeof(T), "typed_fid_stream: width mismatch");
-  return static_cast<const T*>(s.base);
-}
-
-template <typename T>
-const T* typed_ptr_stream(const CsfTensor& csf, int level) {
-  const PtrStreamRef s = csf.ptr_stream(level);
-  SPTD_CHECK(s.width == sizeof(T), "typed_ptr_stream: width mismatch");
-  return static_cast<const T*>(s.base);
-}
-
+/// The view walking the leaf fids as FidT and the deepest fptr as PtrT.
 template <typename FidT, typename PtrT>
-CsfView<const FidT*, const PtrT*> make_typed_view(const CsfTensor& csf) {
-  CsfView<const FidT*, const PtrT*> view;
-  const int order = csf.order();
-  view.leaf = typed_fid_stream<FidT>(csf, order - 1);
-  view.deep_fptr = typed_ptr_stream<PtrT>(csf, order - 2);
-  const CsfStreamRefs refs = csf.stream_refs();
-  view.fids = refs.fids;
-  view.fptr = refs.fptr;
-  return view;
-}
+struct TypedView {
+  static constexpr int kFidWidth = sizeof(FidT);
+  static constexpr int kPtrWidth = sizeof(PtrT);
+  using type = CsfView<const FidT*, const PtrT*>;
 
-CsfView<FidStreamRef, PtrStreamRef> make_erased_view(const CsfTensor& csf) {
-  CsfView<FidStreamRef, PtrStreamRef> view;
-  const int order = csf.order();
-  const CsfStreamRefs refs = csf.stream_refs();
-  view.fids = refs.fids;
-  view.fptr = refs.fptr;
-  view.leaf = view.fids[static_cast<std::size_t>(order - 1)];
-  view.deep_fptr = view.fptr[static_cast<std::size_t>(order - 2)];
-  return view;
-}
-
-/// lower_bound over an index stream (the tiled kernel's tile narrowing).
-template <typename S>
-nnz_t stream_lower_bound(S s, nnz_t lo, nnz_t hi, idx_t value) {
-  while (lo < hi) {
-    const nnz_t mid = lo + (hi - lo) / 2;
-    if (s[mid] < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  static type make(const CsfTensor& csf) {
+    const auto order = static_cast<std::size_t>(csf.order());
+    const CsfStreamRefs refs = csf.stream_refs();
+    const FidStreamRef leaf = refs.fids[order - 1];
+    const PtrStreamRef deep = refs.fptr[order - 2];
+    SPTD_CHECK(leaf.width == kFidWidth && deep.width == kPtrWidth,
+               "TypedView: stored index widths differ from the view's");
+    return {static_cast<const FidT*>(leaf.base),
+            static_cast<const PtrT*>(deep.base), refs.fids, refs.fptr};
   }
-  return lo;
-}
+};
+
+/// The view reading every stream through its width-erased ref: correct
+/// for any stored width pair (key widths 0, 0).
+struct ErasedView {
+  static constexpr int kFidWidth = 0;
+  static constexpr int kPtrWidth = 0;
+  using type = CsfView<FidStreamRef, PtrStreamRef>;
+
+  static type make(const CsfTensor& csf) {
+    const auto order = static_cast<std::size_t>(csf.order());
+    const CsfStreamRefs refs = csf.stream_refs();
+    return {refs.fids[order - 1], refs.fptr[order - 2], refs.fids,
+            refs.fptr};
+  }
+};
+
+template <typename... Views>
+struct ViewList {};
+
+/// The wide layout's pair (u32 fids, u64 fptr) plus the erased fallback:
+/// the subset of the bundles whose narrow variants are not worth their
+/// compile time (mixed generic, every f32 bundle, the slice/2d ablations).
+using WideViews = ViewList<TypedView<std::uint32_t, std::uint64_t>,
+                           ErasedView>;
+
+/// Every typed pair the compressed layout commonly produces, plus wide and
+/// erased: the f64 bundles and the mixed fixed-width bundles.
+using NarrowViews = ViewList<TypedView<std::uint8_t, std::uint16_t>,
+                             TypedView<std::uint16_t, std::uint16_t>,
+                             TypedView<std::uint16_t, std::uint32_t>,
+                             TypedView<std::uint32_t, std::uint32_t>,
+                             TypedView<std::uint32_t, std::uint64_t>,
+                             ErasedView>;
 
 // ---------------------------------------------------------------------
 // Kernel bundles: the arithmetic of every length-R inner loop.
@@ -897,86 +908,6 @@ void kernel_leaf(const Ctx& ctx, const Sink& sink,
   });
 }
 
-/// Tiled leaf kernel (SPLATT's tiling alternative): the leaf-mode index
-/// space is split into per-thread tiles weighted by leaf frequency; every
-/// thread walks the whole forest but deposits only leaves inside its own
-/// tile. Writes are conflict-free (DirectSink); the price is replicated
-/// path-product work at the upper levels.
-template <typename K, typename Ctx>
-void kernel_leaf_tiled(const Ctx& ctx, la::Matrix& out,
-                       std::span<const nnz_t> tile_bounds, int nthreads) {
-  using A = typename K::Accum;
-  const CsfTensor& csf = *ctx.csf;
-  const idx_t rank = ctx.rank;
-  const int order = csf.order();
-  const auto leaf_fids = ctx.view.leaf;
-
-  const DirectSink<K> sink{&out};
-  parallel_region(nthreads, [&](int tid, int) {
-    const auto lo = static_cast<idx_t>(tile_bounds[
-        static_cast<std::size_t>(tid)]);
-    const auto hi = static_cast<idx_t>(tile_bounds[
-        static_cast<std::size_t>(tid) + 1]);
-    if (lo == hi) {
-      return;  // empty tile (more threads than occupied leaf ids)
-    }
-
-    // Deposit the in-tile leaves of the bottom fiber [first, last) whose
-    // path product lives in `path`.
-    const auto vals = ctx.vals;
-    A* tmp = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 1));
-    const auto deposit = [&](nnz_t first, nnz_t last, const A* path) {
-      // Leaves are sorted within a fiber: narrow to the tile subrange.
-      const nnz_t begin = stream_lower_bound(leaf_fids, first, last, lo);
-      const nnz_t end = stream_lower_bound(leaf_fids, begin, last, hi);
-      for (nnz_t x = begin; x < end; ++x) {
-        sink.add_scaled(leaf_fids[x], vals[x], path, tmp, rank);
-      }
-    };
-
-    struct Walker {
-      const Ctx& ctx;
-      const decltype(deposit)& leaf_fn;
-      int tid;
-
-      void descend(int l, nnz_t f) const {
-        const CsfTensor& csf = *ctx.csf;
-        const idx_t rank = ctx.rank;
-        const int order = csf.order();
-        const A* parent =
-            ctx.ws->template accum_as<A>(tid, path_slot(l - 1));
-        A* mine = ctx.ws->template accum_as<A>(tid, path_slot(l));
-        K::path_mul(mine, parent,
-                    *ctx.factor_at_level[static_cast<std::size_t>(l)],
-                    ctx.view.fids[static_cast<std::size_t>(l)][f], rank);
-        if (l == order - 2) {
-          leaf_fn(ctx.view.deep_fptr[f], ctx.view.deep_fptr[f + 1], mine);
-        } else {
-          const auto fptr = ctx.view.fptr[static_cast<std::size_t>(l)];
-          for (nnz_t c = fptr[f]; c < fptr[f + 1]; ++c) {
-            descend(l + 1, c);
-          }
-        }
-      }
-    };
-
-    const auto fids0 = ctx.view.fids[0];
-    const Walker walker{ctx, deposit, tid};
-    A* p0 = ctx.ws->template accum_as<A>(tid, path_slot(0));
-    for (nnz_t s = 0; s < csf.nfibers(0); ++s) {
-      K::path_load(p0, *ctx.factor_at_level[0], fids0[s], rank);
-      if (order == 2) {
-        deposit(ctx.view.deep_fptr[s], ctx.view.deep_fptr[s + 1], p0);
-      } else {
-        const auto fptr0 = ctx.view.fptr[0];
-        for (nnz_t c = fptr0[s]; c < fptr0[s + 1]; ++c) {
-          walker.descend(1, c);
-        }
-      }
-    }
-  });
-}
-
 /// Internal kernel at level L (0 < L < order-1):
 ///   out(fids_L[f], :) += (F_0 ⊙ ... ⊙ F_{L-1} path) ⊙ sum_children G.
 template <typename K, typename Ctx, typename Sink>
@@ -1093,106 +1024,6 @@ void run_kernel(const Ctx& ctx, const Sink& sink, int out_level,
   }
 }
 
-/// Strategy dispatch for one kernel bundle + view.
-template <typename K, typename Ctx>
-void dispatch_strategy(const Ctx& ctx, la::Matrix& out,
-                       int out_mode, int out_level, SyncStrategy strategy,
-                       const SliceSchedule& slices,
-                       std::span<const nnz_t> tile_bounds,
-                       MttkrpWorkspace& ws) {
-  const int nthreads = ws.options().nthreads;
-  switch (strategy) {
-    case SyncStrategy::kNone: {
-      out.zero_parallel(nthreads);
-      run_kernel<K>(ctx, DirectSink<K>{&out}, out_level, slices, nthreads);
-      break;
-    }
-    case SyncStrategy::kLock: {
-      out.zero_parallel(nthreads);
-      run_kernel<K>(ctx, LockedSink<K>{&out, &ws.pool()}, out_level,
-                    slices, nthreads);
-      break;
-    }
-    case SyncStrategy::kTile: {
-      out.zero_parallel(nthreads);
-      kernel_leaf_tiled<K>(ctx, out, tile_bounds, nthreads);
-      break;
-    }
-    case SyncStrategy::kPrivatize: {
-      const idx_t rows =
-          ctx.csf->dims()[static_cast<std::size_t>(out_mode)];
-      PrivateBuffers& priv = ws.privatized(rows);
-      priv.clear(nthreads);
-      run_kernel<K>(ctx, ThreadPrivSink<K>{&priv, ws.rank_stride()},
-                    out_level, slices, nthreads);
-      out.zero_parallel(nthreads);
-      SPTD_DCHECK(out.ld() == ws.rank_stride(),
-                  "privatize: output stride mismatch");
-      priv.reduce_into(
-          {out.data(),
-           static_cast<std::size_t>(rows) * out.ld()},
-          nthreads);
-      break;
-    }
-  }
-}
-
-/// Index-width dispatch for one kernel bundle: selects the typed view the
-/// CSF's stored widths admit, once per kernel launch. The per-nonzero
-/// streams (leaf fids, deepest fptr) are the dispatch key; every other
-/// stream rides the width-erased refs. kNarrowViews gates the narrow
-/// instantiations: the fast bundles (FixedKern, generic pointer) get
-/// them, the slice/2d ablation bundles run wide-typed or erased to keep
-/// their instantiation count (and compile time) down.
-template <typename K, bool kNarrowViews, typename StoreT>
-void dispatch_views(const CsfTensor& csf,
-                    std::span<const StoreT> vals,
-                    std::vector<const la::MatrixT<StoreT>*> factor_at_level,
-                    idx_t rank, la::Matrix& out, int out_mode,
-                    int out_level, SyncStrategy strategy,
-                    const SliceSchedule& slices,
-                    std::span<const nnz_t> tile_bounds,
-                    MttkrpWorkspace& ws) {
-  const auto run = [&](auto view) {
-    KernelCtx<decltype(view), StoreT> ctx{&csf, std::move(view), vals,
-                                          std::move(factor_at_level), rank,
-                                          &ws};
-    dispatch_strategy<K>(ctx, out, out_mode, out_level, strategy, slices,
-                         tile_bounds, ws);
-  };
-  const int order = csf.order();
-  const int fw = csf.fid_width(order - 1);
-  const int pw = csf.ptr_width(order - 2);
-  if constexpr (kNarrowViews) {
-    if (fw == 1 && pw == 2) {
-      run(make_typed_view<std::uint8_t, std::uint16_t>(csf));
-      return;
-    }
-    if (fw == 2 && pw == 2) {
-      run(make_typed_view<std::uint16_t, std::uint16_t>(csf));
-      return;
-    }
-    if (fw == 2 && pw == 4) {
-      run(make_typed_view<std::uint16_t, std::uint32_t>(csf));
-      return;
-    }
-    if (fw == 4 && pw == 4) {
-      run(make_typed_view<std::uint32_t, std::uint32_t>(csf));
-      return;
-    }
-  }
-  if (fw == 4 && pw == 8) {
-    // The wide layout always lands here; compressed tensors whose leaf
-    // streams happen to be full-width do too.
-    run(make_typed_view<std::uint32_t, std::uint64_t>(csf));
-    return;
-  }
-  // Remaining width pairs (mixed-tier leaves/fptrs that no typed view
-  // covers, e.g. u8 leaves with u32 fptrs) run the erased view — correct
-  // for every combination, with a predictable per-access width switch.
-  run(make_erased_view(csf));
-}
-
 /// Refreshes one fp32 factor shadow from its fp64 master (parallel row
 /// copy through kern::copy — the sanctioned narrowing conversion). The
 /// shadow keeps its own (wider) float padding; kernels read (data, ld)
@@ -1212,24 +1043,237 @@ void refresh_shadow(const la::Matrix& src, la::MatrixT<float>& dst,
   });
 }
 
-}  // namespace
+/// The factor rows and the value stream one launch reads, at the store
+/// type S of its bundle, with the factors arranged by tree level.
+template <typename S>
+struct LevelInputs {
+  std::vector<const la::MatrixT<S>*> factor_at_level;
+  std::span<const S> vals;
+};
 
-std::vector<nnz_t> leaf_tile_bounds(const CsfTensor& csf, int nthreads) {
+/// f64 bundles read the fp64 masters and CSF values as they are. fp32
+/// bundles (f32 / mixed) stream fp32 factor shadows, refreshed here from
+/// the fp64 masters for every mode the launch reads, plus the fp32 CSF
+/// value copy (built lazily on this orchestrating thread, before any
+/// parallel region).
+template <typename S>
+LevelInputs<S> level_inputs(const CsfTensor& csf,
+                            const std::vector<la::Matrix>& factors,
+                            int mode, MttkrpWorkspace& ws) {
   const int order = csf.order();
-  const int leaf_mode = csf.mode_at_level(order - 1);
-  const idx_t leaf_dim = csf.dims()[static_cast<std::size_t>(leaf_mode)];
-  // Tile boundaries balanced by leaf occurrences.
-  return weighted_partition(
-      slice_nnz_prefix(csf.fid_stream(order - 1), csf.nnz(), leaf_dim),
-      nthreads);
+  LevelInputs<S> in;
+  in.factor_at_level.resize(static_cast<std::size_t>(order));
+  const auto arrange = [&](const std::vector<la::MatrixT<S>>& by_mode) {
+    for (int l = 0; l < order; ++l) {
+      in.factor_at_level[static_cast<std::size_t>(l)] =
+          &by_mode[static_cast<std::size_t>(csf.mode_at_level(l))];
+    }
+  };
+  if constexpr (std::is_same_v<S, val_t>) {
+    arrange(factors);
+    in.vals = csf.vals();
+  } else {
+    auto& shadows = ws.factor_shadows();
+    shadows.resize(factors.size());
+    for (int m = 0; m < order; ++m) {
+      if (m == mode) continue;  // never read; left stale
+      refresh_shadow(factors[static_cast<std::size_t>(m)],
+                     shadows[static_cast<std::size_t>(m)],
+                     ws.options().nthreads);
+    }
+    in.vals = csf.vals_f32();
+    arrange(shadows);
+  }
+  return in;
 }
 
-void mttkrp_csf_exec(const CsfTensor& csf,
-                     const std::vector<la::Matrix>& factors, int mode,
-                     int level, SyncStrategy strategy,
-                     const SliceSchedule& slices,
-                     std::span<const nnz_t> tile_bounds, idx_t kernel_width,
+/// The kernel-table entry point of bundle K over index view View: runs
+/// the mode plan's level kernel under its sync strategy.
+template <typename K, typename View>
+void run_mode(const MttkrpModePlan& mp,
+              const std::vector<la::Matrix>& factors, la::Matrix& out,
+              MttkrpWorkspace& ws) {
+  using S = typename K::Store;
+  LevelInputs<S> in = level_inputs<S>(*mp.csf, factors, mp.mode, ws);
+  const KernelCtx<typename View::type, S> ctx{
+      mp.csf, View::make(*mp.csf), in.vals, std::move(in.factor_at_level),
+      ws.rank(), &ws};
+  const int nthreads = ws.options().nthreads;
+  switch (mp.strategy) {
+    case SyncStrategy::kNone: {
+      out.zero_parallel(nthreads);
+      run_kernel<K>(ctx, DirectSink<K>{&out}, mp.level, mp.slices,
+                    nthreads);
+      break;
+    }
+    case SyncStrategy::kLock: {
+      out.zero_parallel(nthreads);
+      run_kernel<K>(ctx, LockedSink<K>{&out, &ws.pool()}, mp.level,
+                    mp.slices, nthreads);
+      break;
+    }
+    case SyncStrategy::kPrivatize: {
+      const idx_t rows = mp.csf->dims()[static_cast<std::size_t>(mp.mode)];
+      PrivateBuffers& priv = ws.privatized(rows);
+      priv.clear(nthreads);
+      run_kernel<K>(ctx, ThreadPrivSink<K>{&priv, ws.rank_stride()},
+                    mp.level, mp.slices, nthreads);
+      out.zero_parallel(nthreads);
+      SPTD_DCHECK(out.ld() == ws.rank_stride(),
+                  "privatize: output stride mismatch");
+      priv.reduce_into(
+          {out.data(),
+           static_cast<std::size_t>(rows) * out.ld()},
+          nthreads);
+      break;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The kernel table: every (bundle, index view) instantiation, generated
+// from type lists and looked up once per mode at plan time.
+// ---------------------------------------------------------------------
+
+struct KernelRow {
+  MttkrpKernelKey key;
+  MttkrpKernelFn kernel = nullptr;
+};
+
+/// One row per view in Views for bundle K, keyed (P, W, view widths).
+template <typename K, Precision P, idx_t W, typename... Views>
+constexpr std::array<KernelRow, sizeof...(Views)> kernel_rows(
+    ViewList<Views...> /*views*/) {
+  return {KernelRow{{P, W, Views::kFidWidth, Views::kPtrWidth},
+                    &run_mode<K, Views>}...};
+}
+
+template <std::size_t... Ns>
+constexpr std::array<KernelRow, (Ns + ...)> concat_rows(
+    const std::array<KernelRow, Ns>&... parts) {
+  std::array<KernelRow, (Ns + ...)> rows{};
+  std::size_t at = 0;
+  ((std::copy(parts.begin(), parts.end(), rows.begin() + at), at += Ns),
+   ...);
+  return rows;
+}
+
+/// Each precision's (streamed, accumulator) element types.
+template <Precision P>
+struct PrecisionTypes;
+template <>
+struct PrecisionTypes<Precision::kF64> {
+  using Store = val_t;
+  using Accum = val_t;
+};
+template <>
+struct PrecisionTypes<Precision::kMixed> {
+  using Store = float;
+  using Accum = val_t;
+};
+template <>
+struct PrecisionTypes<Precision::kF32> {
+  using Store = float;
+  using Accum = float;
+};
+
+/// The rows of one (precision, width): FixedKern<W> for an instantiated
+/// width, the generic pointer loops for W == 0. f64 runs every narrow
+/// view; mixed only on its fixed-width bundles (its production
+/// bandwidth-saving mode); f32, the ablation endpoint, never — the view
+/// subsets bound the instantiation count.
+template <Precision P, idx_t W>
+constexpr auto precision_width_rows() {
+  using Store = typename PrecisionTypes<P>::Store;
+  using Accum = typename PrecisionTypes<P>::Accum;
+  using K = std::conditional_t<W == 0, GenericKern<PointerAccess, Store, Accum>,
+                               FixedKern<W, Store, Accum>>;
+  constexpr bool kNarrow =
+      P == Precision::kF64 || (P == Precision::kMixed && W != 0);
+  return kernel_rows<K, P, W>(
+      std::conditional_t<kNarrow, NarrowViews, WideViews>{});
+}
+
+template <Precision P>
+constexpr auto precision_rows() {
+  return []<std::size_t... I>(std::index_sequence<I...>) {
+    return concat_rows(
+        precision_width_rows<P, 0>(),
+        precision_width_rows<P, la::kern::kInstantiatedWidths[I]>()...);
+  }(std::make_index_sequence<la::kern::kInstantiatedWidths.size()>{});
+}
+
+/// The production table: pointer row access, every precision x kernel
+/// width (generic + kInstantiatedWidths) x the precision's view subset.
+constexpr auto kKernelTable = concat_rows(precision_rows<Precision::kF64>(),
+                                          precision_rows<Precision::kMixed>(),
+                                          precision_rows<Precision::kF32>());
+
+/// The slice/2d row-access ablations (paper Figs. 2-3): f64 generic loops
+/// over the wide or erased view, outside the production table.
+constexpr auto kSliceRows =
+    kernel_rows<GenericKern<SliceAccess>, Precision::kF64, 0>(WideViews{});
+constexpr auto kIndex2DRows =
+    kernel_rows<GenericKern<Index2DAccess>, Precision::kF64, 0>(
+        WideViews{});
+
+std::span<const KernelRow> rows_for(RowAccess ra) {
+  switch (ra) {
+    case RowAccess::kSlice:   return kSliceRows;
+    case RowAccess::kIndex2D: return kIndex2DRows;
+    case RowAccess::kPointer: break;
+  }
+  return kKernelTable;
+}
+
+/// The row for \p key, or — when no typed view covers its index widths —
+/// the erased-view row of the same (precision, width).
+const KernelRow& find_row(std::span<const KernelRow> rows,
+                          MttkrpKernelKey key) {
+  for (const MttkrpKernelKey probe :
+       {key, MttkrpKernelKey{key.precision, key.width, 0, 0}}) {
+    for (const KernelRow& row : rows) {
+      if (row.key == probe) {
+        return row;
+      }
+    }
+  }
+  throw Error("mttkrp: no kernel table row for this precision and width");
+}
+
+}  // namespace
+
+MttkrpModePlan plan_mode(const CsfTensor& csf, int mode, idx_t rank,
+                         const MttkrpOptions& opts) {
+  MttkrpModePlan mp;
+  mp.csf = &csf;
+  mp.mode = mode;
+  mp.level = csf.level_of_mode(mode);
+  mp.strategy =
+      choose_sync_strategy(csf.dims(), mode, mp.level, csf.nnz(), opts);
+  mp.slices = SliceSchedule(opts.schedule, csf.nfibers(0),
+                            csf.root_nnz_prefix(), opts.nthreads,
+                            static_cast<nnz_t>(opts.chunk_target));
+  // The precision axis applies to the pointer row access only: the
+  // slice/2d ablations exist to measure access idioms and always run f64.
+  const int order = csf.order();
+  const KernelRow& row = find_row(
+      rows_for(opts.row_access),
+      {opts.row_access == RowAccess::kPointer ? opts.precision
+                                              : Precision::kF64,
+       selected_kernel_width(rank, opts), csf.fid_width(order - 1),
+       csf.ptr_width(order - 2)});
+  mp.key = row.key;
+  mp.kernel = row.kernel;
+  return mp;
+}
+
+void mttkrp_csf_exec(const MttkrpModePlan& mp,
+                     const std::vector<la::Matrix>& factors,
                      la::Matrix& out, MttkrpWorkspace& ws) {
+  SPTD_CHECK(mp.csf != nullptr && mp.kernel != nullptr,
+             "mttkrp_csf_exec: mode plan has no kernel");
+  const CsfTensor& csf = *mp.csf;
   const int order = csf.order();
   SPTD_CHECK(static_cast<int>(factors.size()) == order,
              "mttkrp_csf: factor count mismatch");
@@ -1241,190 +1285,27 @@ void mttkrp_csf_exec(const CsfTensor& csf,
                    csf.dims()[static_cast<std::size_t>(m)],
                "mttkrp_csf: factor rows mismatch");
   }
-  SPTD_CHECK(out.rows() == csf.dims()[static_cast<std::size_t>(mode)] &&
+  SPTD_CHECK(out.rows() == csf.dims()[static_cast<std::size_t>(mp.mode)] &&
                  out.cols() == rank,
              "mttkrp_csf: bad output shape");
-  SPTD_CHECK(strategy != SyncStrategy::kTile ||
-                 tile_bounds.size() ==
-                     static_cast<std::size_t>(ws.options().nthreads) + 1,
-             "mttkrp_csf: tile bounds missing for the tiled strategy");
-  SPTD_CHECK(kernel_width == 0 ||
-                 kernel_width == la::kern::fixed_width_for(rank),
+  SPTD_CHECK(mp.key.width == 0 ||
+                 mp.key.width == la::kern::fixed_width_for(rank),
              "mttkrp_csf: kernel width must be 0 or the rank's "
              "instantiated (possibly padded) width");
 
-  ws.last_strategy = strategy;
+  ws.last_strategy = mp.strategy;
   // Rewind the runtime schedules for this kernel launch: the dynamic
   // cursor restarts and every work-stealing deque is reseeded with its
   // owner's chunks (a cached plan reuses one schedule across the whole
   // ALS sweep, so each launch must begin from the full seed).
-  slices.reset();
-
-  std::vector<const la::Matrix*> factor_at_level(
-      static_cast<std::size_t>(order));
-  for (int l = 0; l < order; ++l) {
-    factor_at_level[static_cast<std::size_t>(l)] =
-        &factors[static_cast<std::size_t>(csf.mode_at_level(l))];
-  }
-
-  // Precision axis setup. The axis applies only to the pointer row-access
-  // kernels (the production path); slice/2d exist to measure access
-  // idioms and always run f64. Under f32/mixed the kernels stream fp32
-  // factor shadows, refreshed here from the fp64 masters for every mode
-  // the launch reads, plus the fp32 CSF value copy (built lazily on this
-  // orchestrating thread, before any parallel region).
-  const Precision prec = ws.options().precision;
-  const bool narrow_streams =
-      prec != Precision::kF64 &&
-      ws.options().row_access == RowAccess::kPointer;
-  std::vector<const la::MatrixT<float>*> shadow_at_level;
-  std::span<const float> vals32;
-  if (narrow_streams) {
-    auto& shadows = ws.factor_shadows();
-    shadows.resize(factors.size());
-    for (int m = 0; m < order; ++m) {
-      if (m == mode) continue;  // never read; left stale
-      refresh_shadow(factors[static_cast<std::size_t>(m)],
-                     shadows[static_cast<std::size_t>(m)],
-                     ws.options().nthreads);
-    }
-    vals32 = csf.vals_f32();
-    shadow_at_level.resize(static_cast<std::size_t>(order));
-    for (int l = 0; l < order; ++l) {
-      shadow_at_level[static_cast<std::size_t>(l)] =
-          &shadows[static_cast<std::size_t>(csf.mode_at_level(l))];
-    }
-  }
-
-  const auto dispatch = [&]<typename K, bool kNarrow, typename StoreT>(
-                            std::vector<const la::MatrixT<StoreT>*> fal,
-                            std::span<const StoreT> vals) {
-    dispatch_views<K, kNarrow>(csf, vals, std::move(fal), rank, out, mode,
-                               level, strategy, slices, tile_bounds, ws);
-  };
-  const auto dispatch_f64 = [&]<typename K, bool kNarrow>() {
-    dispatch.operator()<K, kNarrow>(std::move(factor_at_level),
-                                    csf.vals());
-  };
-  const auto dispatch_f32 = [&]<typename K, bool kNarrow>() {
-    dispatch.operator()<K, kNarrow>(std::move(shadow_at_level), vals32);
-  };
-
-  switch (ws.options().row_access) {
-    case RowAccess::kSlice:
-      dispatch_f64.operator()<GenericKern<SliceAccess>, false>();
-      break;
-    case RowAccess::kIndex2D:
-      dispatch_f64.operator()<GenericKern<Index2DAccess>, false>();
-      break;
-    case RowAccess::kPointer:
-      if (prec == Precision::kMixed) {
-        // fp32 streams, fp64 accumulators. The fixed-width bundles keep
-        // their narrow-index instantiations (this is the production
-        // bandwidth-saving mode); the generic fallback runs erased/wide.
-        switch (kernel_width) {
-          case 4:
-            dispatch_f32.operator()<FixedKern<4, float, val_t>, true>();
-            break;
-          case 8:
-            dispatch_f32.operator()<FixedKern<8, float, val_t>, true>();
-            break;
-          case 16:
-            dispatch_f32.operator()<FixedKern<16, float, val_t>, true>();
-            break;
-          case 32:
-            dispatch_f32.operator()<FixedKern<32, float, val_t>, true>();
-            break;
-          case 40:
-            dispatch_f32.operator()<FixedKern<40, float, val_t>, true>();
-            break;
-          case 64:
-            dispatch_f32.operator()<FixedKern<64, float, val_t>, true>();
-            break;
-          default:
-            dispatch_f32
-                .operator()<GenericKern<PointerAccess, float, val_t>,
-                            false>();
-            break;
-        }
-        break;
-      }
-      if (prec == Precision::kF32) {
-        // fp32 streams AND fp32 accumulators — the ablation endpoint.
-        // Runs erased/wide index views to bound the instantiation count
-        // (the FixedKern fast paths still engage; only the narrow-index
-        // variants are skipped).
-        switch (kernel_width) {
-          case 4:
-            dispatch_f32.operator()<FixedKern<4, float, float>, false>();
-            break;
-          case 8:
-            dispatch_f32.operator()<FixedKern<8, float, float>, false>();
-            break;
-          case 16:
-            dispatch_f32.operator()<FixedKern<16, float, float>, false>();
-            break;
-          case 32:
-            dispatch_f32.operator()<FixedKern<32, float, float>, false>();
-            break;
-          case 40:
-            dispatch_f32.operator()<FixedKern<40, float, float>, false>();
-            break;
-          case 64:
-            dispatch_f32.operator()<FixedKern<64, float, float>, false>();
-            break;
-          default:
-            dispatch_f32
-                .operator()<GenericKern<PointerAccess, float, float>,
-                            false>();
-            break;
-        }
-        break;
-      }
-      switch (kernel_width) {
-        case 4:
-          dispatch_f64.operator()<FixedKern<4>, true>();
-          break;
-        case 8:
-          dispatch_f64.operator()<FixedKern<8>, true>();
-          break;
-        case 16:
-          dispatch_f64.operator()<FixedKern<16>, true>();
-          break;
-        case 32:
-          dispatch_f64.operator()<FixedKern<32>, true>();
-          break;
-        case 40:
-          // The padded width for ranks 33-39 (the paper's default rank 35
-          // lands here): rows span exactly 40 lanes with zero padding.
-          dispatch_f64.operator()<FixedKern<40>, true>();
-          break;
-        case 64:
-          dispatch_f64.operator()<FixedKern<64>, true>();
-          break;
-        default:
-          dispatch_f64.operator()<GenericKern<PointerAccess>, true>();
-          break;
-      }
-      break;
-  }
+  mp.slices.reset();
+  mp.kernel(mp, factors, out, ws);
 }
 
 void mttkrp_csf(const CsfTensor& csf, const std::vector<la::Matrix>& factors,
                 int mode, la::Matrix& out, MttkrpWorkspace& ws) {
-  const MttkrpOptions& opts = ws.options();
-  const int level = csf.level_of_mode(mode);
-  const SyncStrategy strategy = choose_sync_strategy(
-      csf.dims(), mode, level, csf.nnz(), opts);
-  const SliceSchedule slices(opts.schedule, csf.nfibers(0),
-                             csf.root_nnz_prefix(), opts.nthreads,
-                             static_cast<nnz_t>(opts.chunk_target));
-  std::vector<nnz_t> tiles;
-  if (strategy == SyncStrategy::kTile) {
-    tiles = leaf_tile_bounds(csf, opts.nthreads);
-  }
-  mttkrp_csf_exec(csf, factors, mode, level, strategy, slices, tiles,
-                  selected_kernel_width(ws.rank(), opts), out, ws);
+  mttkrp_csf_exec(plan_mode(csf, mode, ws.rank(), ws.options()), factors,
+                  out, ws);
 }
 
 void mttkrp(const CsfSet& csf_set, const std::vector<la::Matrix>& factors,
@@ -1433,6 +1314,7 @@ void mttkrp(const CsfSet& csf_set, const std::vector<la::Matrix>& factors,
   const CsfTensor& csf = csf_set.csf_for_mode(mode, level);
   mttkrp_csf(csf, factors, mode, out, ws);
 }
+
 
 void mttkrp_coo(const SparseTensor& coo,
                 const std::vector<la::Matrix>& factors, int mode,

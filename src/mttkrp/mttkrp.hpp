@@ -41,10 +41,9 @@ enum class SyncStrategy : int {
   kNone = 0,    ///< no conflicts possible (root kernel or 1 thread)
   kLock,        ///< mutex pool keyed by output row
   kPrivatize,   ///< per-thread output copies + reduction
-  kTile,        ///< leaf-mode tiling: threads own disjoint output tiles
 };
 
-/// Name for logs/benches: "none" / "lock" / "privatize" / "tile".
+/// Name for logs/benches: "none" / "lock" / "privatize".
 const char* sync_strategy_name(SyncStrategy s);
 
 /// MTTKRP tuning knobs (the paper's studied axes).
@@ -65,13 +64,6 @@ struct MttkrpOptions {
   /// Disable privatization AND locks is invalid; disabling privatization
   /// alone falls back to locks.
   bool allow_privatization = true;
-  /// SPLATT's tiling alternative (the feature the paper's port omitted):
-  /// for *leaf* kernels, partition the output mode into per-thread tiles;
-  /// each thread re-walks the whole forest but deposits only leaves in
-  /// its tile — lock-free and reduction-free at the cost of replicated
-  /// upper-level work. Takes precedence over locks/privatization where
-  /// applicable (leaf level, >1 thread).
-  bool use_tiling = false;
   /// Dynamic/workstealing chunk heuristic: target number of claims per
   /// thread. Dynamic sizes chunks total / (nthreads * chunk_target);
   /// workstealing subdivides each thread's seeded block into up to
@@ -102,19 +94,19 @@ struct MttkrpOptions {
   /// backend.hpp): omp (the default; behavior-identical to the
   /// pre-backend tree) or pool (persistent worker threads that compose
   /// across concurrent decompositions in one process). Applied
-  /// process-wide by MttkrpPlan / the drivers via set_parallel_backend()
-  /// before workspaces build their lock pools. Defaults from the
-  /// SPTD_BACKEND environment variable.
+  /// process-wide via set_parallel_backend() by the MttkrpWorkspace
+  /// constructor, before it builds its lock pool, and by the drivers.
+  /// Defaults from the SPTD_BACKEND environment variable.
   ParallelBackendKind backend = default_parallel_backend();
 };
 
 /// The compile-time kernel width an MTTKRP plan will select for \p rank
 /// under \p opts: la::kern::fixed_width_for(rank) — the rank itself when
-/// an instantiation exists (4, 8, 16, 32, 40, 64), the rank's padded row
-/// stride when *that* width is instantiated (rank 35, the paper's
-/// default, runs the R=40 kernels over its zero-filled padding lanes) —
-/// provided the row access is pointer and specialization is not disabled;
-/// else 0 (generic runtime-rank loops).
+/// it is in la::kern::kInstantiatedWidths, the rank's padded row stride
+/// when *that* width is (rank 35, the paper's default, runs the R=40
+/// kernels over its zero-filled padding lanes) — provided the row access
+/// is pointer and specialization is not disabled; else 0 (generic
+/// runtime-rank loops).
 idx_t selected_kernel_width(idx_t rank, const MttkrpOptions& opts);
 
 /// Decides the sync strategy SPLATT would use for an MTTKRP writing
@@ -126,11 +118,6 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
 /// weighted_partition_calls(): strategy choice is plan-construction work,
 /// and tests assert the ALS hot loop performs none of it.
 std::uint64_t choose_sync_strategy_calls();
-
-/// Output-row tile boundaries for the tiled leaf kernel: a leaf-occurrence
-/// weighted partition of the leaf mode's index space (nthreads+1 bounds).
-/// Plan-construction work; cached by MttkrpPlan for the kTile strategy.
-std::vector<nnz_t> leaf_tile_bounds(const CsfTensor& csf, int nthreads);
 
 /// Reusable scratch for MTTKRP calls: per-thread accumulators, the mutex
 /// pool, and (lazily) privatized output buffers. Thread-count and rank are
@@ -165,7 +152,7 @@ class MttkrpWorkspace {
 
   /// fp32 shadows of the factor matrices for the f32/mixed kernels, one
   /// per mode, refreshed (converted from the fp64 masters) at each launch
-  /// by mttkrp_csf_exec for every mode the kernel reads. Entry \p mode
+  /// of an fp32-stream kernel for every mode the kernel reads. Entry \p mode
   /// may be stale for the launch's output mode — kernels never read the
   /// output mode's factor.
   std::vector<la::MatrixT<float>>& factor_shadows() { return shadows_; }
@@ -195,6 +182,60 @@ class MttkrpWorkspace {
   nnz_t priv_capacity_ = 0;
 };
 
+/// Key of one row of the MTTKRP kernel table: the value-stream precision,
+/// the compile-time kernel width (0 = generic runtime-rank loops) and the
+/// typed index view — the stored byte widths of the leaf fid stream and
+/// of the deepest fptr stream, the two per-nonzero streams. A view width
+/// pair of (0, 0) names the width-erased view, which serves every pair a
+/// precision's typed views do not cover.
+struct MttkrpKernelKey {
+  Precision precision = Precision::kF64;
+  idx_t width = 0;
+  int leaf_fid_width = 0;
+  int deep_ptr_width = 0;
+
+  bool operator==(const MttkrpKernelKey&) const = default;
+};
+
+struct MttkrpModePlan;
+
+/// One instantiated kernel: runs the level- and strategy-appropriate CSF
+/// kernel of its (bundle, index view) over a mode plan.
+using MttkrpKernelFn = void (*)(const MttkrpModePlan& mp,
+                                const std::vector<la::Matrix>& factors,
+                                la::Matrix& out, MttkrpWorkspace& ws);
+
+/// Every decision for one output mode's MTTKRP, frozen: the kernel level,
+/// the sync strategy, the root-slice schedule, and the kernel itself —
+/// looked up once in the kernel table, so execution never re-switches on
+/// precision, kernel width or index width. Tests that force a strategy or
+/// schedule overwrite those fields of a plan_mode() result.
+struct MttkrpModePlan {
+  const CsfTensor* csf = nullptr;  ///< representation serving this mode
+  int mode = 0;                    ///< output mode
+  int level = 0;                   ///< the mode's tree level in csf
+  SyncStrategy strategy = SyncStrategy::kNone;
+  SliceSchedule slices;            ///< root-slice distribution
+  MttkrpKernelKey key;             ///< the kernel table row of `kernel`
+  MttkrpKernelFn kernel = nullptr;
+};
+
+/// Plans the mode-\p mode MTTKRP over \p csf (which must hold \p mode)
+/// at \p rank under \p opts: SPLATT's sync choice, the slice schedule,
+/// and the kernel table row for (precision, selected_kernel_width(),
+/// stored index widths). The slice/2d row-access ablations resolve from
+/// their own small f64 rows outside the production table, keyed with
+/// precision f64 and width 0. Shared by MttkrpPlan and mttkrp_csf().
+MttkrpModePlan plan_mode(const CsfTensor& csf, int mode, idx_t rank,
+                         const MttkrpOptions& opts);
+
+/// Pure execution of a mode plan into \p out (dims[mode] x rank): checks
+/// the shapes, rewinds the slice schedule and calls the frozen kernel.
+/// \p ws must have been built for the plan's rank.
+void mttkrp_csf_exec(const MttkrpModePlan& mp,
+                     const std::vector<la::Matrix>& factors,
+                     la::Matrix& out, MttkrpWorkspace& ws);
+
 /// Computes the mode-\p mode MTTKRP over a CSF set into \p out
 /// (dims[mode] x rank). Selects representation, kernel level, and sync
 /// strategy exactly as SPLATT does; applies the workspace's row-access
@@ -204,24 +245,11 @@ void mttkrp(const CsfSet& csf_set, const std::vector<la::Matrix>& factors,
 
 /// Single-representation entry point used by tests/benches that want to
 /// exercise a specific kernel level: computes the MTTKRP for \p mode which
-/// must live at some level of \p csf. Re-derives level, sync strategy, and
-/// slice schedule on every call — the planless path; hot loops build an
-/// MttkrpPlan (mttkrp/plan.hpp) instead.
+/// must live at some level of \p csf. A one-shot plan_mode() per call —
+/// the planless path; hot loops build an MttkrpPlan (mttkrp/plan.hpp)
+/// instead.
 void mttkrp_csf(const CsfTensor& csf, const std::vector<la::Matrix>& factors,
                 int mode, la::Matrix& out, MttkrpWorkspace& ws);
-
-/// Pure-execution entry point: every decision (kernel level, sync
-/// strategy, slice schedule, tile boundaries, kernel width) is precomputed
-/// by the caller. This is what MttkrpPlan::execute dispatches to;
-/// \p tile_bounds is consulted only by the kTile strategy, and
-/// \p kernel_width must be 0 (generic loops) or the value
-/// selected_kernel_width() returns for the workspace's rank and options.
-void mttkrp_csf_exec(const CsfTensor& csf,
-                     const std::vector<la::Matrix>& factors, int mode,
-                     int level, SyncStrategy strategy,
-                     const SliceSchedule& slices,
-                     std::span<const nnz_t> tile_bounds, idx_t kernel_width,
-                     la::Matrix& out, MttkrpWorkspace& ws);
 
 /// Reference COO MTTKRP (no CSF), parallelized over nonzero blocks with a
 /// mutex pool. The correctness oracle for mid-size inputs and the

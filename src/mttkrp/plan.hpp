@@ -2,15 +2,17 @@
 /// \file plan.hpp
 /// \brief Cached MTTKRP execution plans: decide once, execute many.
 ///
-/// The seed re-derived every scheduling decision — which CSF representation
-/// serves a mode, which kernel level, lock vs privatize vs tile, and the
-/// nnz-weighted loop bounds — inside every mttkrp() call, i.e. order x
-/// iterations times per CP-ALS run. An MttkrpPlan hoists all of it to one
-/// construction pass per (CsfSet, options, rank) triple, mirroring how
-/// SPLATT precomputes per-CSF execution metadata and reuses it across the
-/// ALS sweep. execute() is pure execution: the hot loop performs zero
-/// weighted_partition() or choose_sync_strategy() calls (asserted by
-/// tests/test_schedule.cpp via the planning counters).
+/// Every scheduling decision — which CSF representation serves a mode,
+/// which kernel level, lock vs privatize, the nnz-weighted loop bounds,
+/// and the kernel table row (precision x kernel width x index view) — is
+/// made by plan_mode() (mttkrp.hpp). The planless mttkrp() makes it on
+/// every call, i.e. order x iterations times per CP-ALS run; an
+/// MttkrpPlan makes it once per mode per (CsfSet, options, rank) triple,
+/// mirroring how SPLATT precomputes per-CSF execution metadata and reuses
+/// it across the ALS sweep. execute() is pure execution through the
+/// frozen kernel pointer: the hot loop performs zero weighted_partition()
+/// or choose_sync_strategy() calls (asserted by tests/test_schedule.cpp
+/// via the planning counters).
 ///
 /// The plan also owns the MttkrpWorkspace, with privatized reduction
 /// buffers pre-sized for the largest privatized mode, so no allocation
@@ -30,13 +32,7 @@ namespace sptd {
 class MttkrpPlan {
  public:
   /// Per-output-mode decisions.
-  struct ModePlan {
-    const CsfTensor* csf = nullptr;   ///< representation serving this mode
-    int level = 0;                    ///< the mode's tree level in it
-    SyncStrategy strategy = SyncStrategy::kNone;
-    SliceSchedule slices;             ///< root-slice distribution
-    std::vector<nnz_t> tile_bounds;   ///< kTile only: output-row tiles
-  };
+  using ModePlan = MttkrpModePlan;
 
   MttkrpPlan(const CsfSet& set, idx_t rank, const MttkrpOptions& opts);
 
@@ -55,11 +51,13 @@ class MttkrpPlan {
 
   /// The rank-specialized kernel width frozen at plan time:
   /// selected_kernel_width() — under pointer access, the rank itself when
-  /// an instantiation exists (4, 8, 16, 32, 40, 64) or the rank's padded
-  /// row stride when that width is instantiated (rank 35, the paper's
-  /// default, reports 40); 0 when execution runs the generic runtime-rank
-  /// loops. Reported in every bench --json record.
-  [[nodiscard]] idx_t kernel_width() const { return kernel_width_; }
+  /// it is in la::kern::kInstantiatedWidths or the rank's padded row
+  /// stride when that width is (rank 35, the paper's default, reports 40);
+  /// 0 when execution runs the generic runtime-rank loops. Reported in
+  /// every bench --json record. Every mode's table row shares it.
+  [[nodiscard]] idx_t kernel_width() const {
+    return modes_.front().key.width;
+  }
 
   /// Introspection for benches/tests: the frozen decisions for one mode.
   [[nodiscard]] const ModePlan& mode_plan(int mode) const {
@@ -78,10 +76,8 @@ class MttkrpPlan {
   }
 
  private:
-  const CsfSet* set_;
   MttkrpWorkspace ws_;
   std::vector<ModePlan> modes_;
-  idx_t kernel_width_ = 0;
 };
 
 }  // namespace sptd

@@ -15,7 +15,8 @@
 /// memory, but load balance now depends on how evenly the nonzeros spread
 /// across output-row blocks (skewed tensors tile badly) and the layout is
 /// fixed per (mode, ntiles). The ablation bench quantifies exactly this
-/// against locks and privatization.
+/// against locks and privatization. This is the repo's only tiling
+/// ablation, and it stays outside the CSF MTTKRP dispatch.
 
 #include <vector>
 

@@ -66,33 +66,32 @@ TEST(Csf, HandExampleStructure) {
   SparseTensor t = hand_tensor();
   const std::vector<int> order = {0, 1, 2};  // natural order
   sort_tensor_perm(t, order, 1);
-  // Wide layout: the seed's span accessors stay valid for this
-  // hand-checkable structure walk (compressed coverage lives in
-  // test_csf_compressed.cpp).
+  // Wide layout for this hand-checkable structure walk (compressed
+  // coverage lives in test_csf_compressed.cpp).
   const CsfTensor csf(t, order, CsfLayout::kWide);
 
   // Root level: slices 0 and 1.
   ASSERT_EQ(csf.nfibers(0), 2u);
-  EXPECT_EQ(csf.fids(0)[0], 0u);
-  EXPECT_EQ(csf.fids(0)[1], 1u);
+  EXPECT_EQ(csf.fid(0, 0), 0u);
+  EXPECT_EQ(csf.fid(0, 1), 1u);
 
   // Level 1 fibers: (0,0), (0,2), (1,1).
   ASSERT_EQ(csf.nfibers(1), 3u);
-  EXPECT_EQ(csf.fids(1)[0], 0u);
-  EXPECT_EQ(csf.fids(1)[1], 2u);
-  EXPECT_EQ(csf.fids(1)[2], 1u);
-  EXPECT_EQ(csf.fptr(0)[0], 0u);
-  EXPECT_EQ(csf.fptr(0)[1], 2u);  // slice 0 owns fibers 0,1
-  EXPECT_EQ(csf.fptr(0)[2], 3u);
+  EXPECT_EQ(csf.fid(1, 0), 0u);
+  EXPECT_EQ(csf.fid(1, 1), 2u);
+  EXPECT_EQ(csf.fid(1, 2), 1u);
+  EXPECT_EQ(csf.ptr(0, 0), 0u);
+  EXPECT_EQ(csf.ptr(0, 1), 2u);  // slice 0 owns fibers 0,1
+  EXPECT_EQ(csf.ptr(0, 2), 3u);
 
   // Leaves: 4 nonzeros; fiber (0,0) holds leaves {0,1}.
   ASSERT_EQ(csf.nnz(), 4u);
-  EXPECT_EQ(csf.fptr(1)[0], 0u);
-  EXPECT_EQ(csf.fptr(1)[1], 2u);
-  EXPECT_EQ(csf.fptr(1)[2], 3u);
-  EXPECT_EQ(csf.fptr(1)[3], 4u);
-  EXPECT_EQ(csf.fids(2)[0], 0u);
-  EXPECT_EQ(csf.fids(2)[1], 1u);
+  EXPECT_EQ(csf.ptr(1, 0), 0u);
+  EXPECT_EQ(csf.ptr(1, 1), 2u);
+  EXPECT_EQ(csf.ptr(1, 2), 3u);
+  EXPECT_EQ(csf.ptr(1, 3), 4u);
+  EXPECT_EQ(csf.fid(2, 0), 0u);
+  EXPECT_EQ(csf.fid(2, 1), 1u);
   EXPECT_DOUBLE_EQ(csf.vals()[3], 4.0);
 
   // Root nnz prefix: slice 0 has 3 nonzeros, slice 1 has 1.
@@ -157,13 +156,14 @@ TEST(Csf, FiberPointersAreMonotoneAndCover) {
   sort_tensor_perm(t, order, 1);
   const CsfTensor csf(t, order, CsfLayout::kWide);
   for (int l = 0; l < csf.order() - 1; ++l) {
-    const auto fp = csf.fptr(l);
-    ASSERT_EQ(fp.size(), csf.nfibers(l) + 1);
-    EXPECT_EQ(fp.front(), 0u);
-    for (std::size_t i = 1; i < fp.size(); ++i) {
+    const auto view = csf.level_view<idx_t, nnz_t>(l);
+    ASSERT_EQ(view.nfibers, csf.nfibers(l));
+    const nnz_t* fp = view.fptr;  // nfibers + 1 entries
+    EXPECT_EQ(fp[0], 0u);
+    for (nnz_t i = 1; i <= view.nfibers; ++i) {
       EXPECT_LT(fp[i - 1], fp[i]);  // strictly increasing: no empty fibers
     }
-    EXPECT_EQ(fp.back(), csf.nfibers(l + 1));
+    EXPECT_EQ(fp[view.nfibers], csf.nfibers(l + 1));
   }
 }
 
@@ -173,9 +173,9 @@ TEST(Csf, RootFidsAreStrictlyIncreasing) {
   const auto order = csf_mode_order(t.dims(), 0);
   sort_tensor_perm(t, order, 1);
   const CsfTensor csf(t, order, CsfLayout::kWide);
-  const auto fids = csf.fids(0);
-  for (std::size_t i = 1; i < fids.size(); ++i) {
-    EXPECT_LT(fids[i - 1], fids[i]);
+  const auto view = csf.level_view<idx_t, nnz_t>(0);
+  for (nnz_t i = 1; i < view.nfibers; ++i) {
+    EXPECT_LT(view.fids[i - 1], view.fids[i]);
   }
 }
 

@@ -194,7 +194,7 @@ void expect_layout_equivalence(const SparseTensor& base, idx_t rank,
                                const std::string& what,
                                CsfPolicy policy = CsfPolicy::kOneMode) {
   // One-mode policy by default so the sweep exercises all three kernel
-  // levels (root, internal, leaf — the tiling strategy needs a leaf).
+  // levels (root, internal, leaf).
   SparseTensor tc = base;
   SparseTensor tw = base;
   const CsfSet comp(tc, policy, opts.nthreads, nullptr,
@@ -229,15 +229,15 @@ const SyncConfig kSyncConfigs[] = {
     {"locks", [](MttkrpOptions& o) { o.force_locks = true; }},
     {"privatize",
      [](MttkrpOptions& o) { o.privatization_threshold = 1e18; }},
-    {"tiling", [](MttkrpOptions& o) { o.use_tiling = true; }},
 };
 
 TEST(CsfCompressedMttkrp, MatchesWideAcrossRanksSchedulesSyncs) {
-  // Ranks cover the kernel-dispatch tiers: 3 = generic runtime-rank
-  // loops, 8/16 = exact fixed-width instantiations, 35 = the paper's
-  // default riding its padded width (40).
+  // Ranks cover the kernel-dispatch tiers: 17 = generic runtime-rank
+  // loops (it pads to 24, a width with no instantiation), 8/16 = exact
+  // fixed-width instantiations, 35 = the paper's default riding its
+  // padded width (40).
   const SparseTensor base = make_tensor({40, 300, 500}, 4000, 21, 0.7);
-  for (const idx_t rank : {3u, 8u, 16u, 35u}) {
+  for (const idx_t rank : {17u, 8u, 16u, 35u}) {
     for (const auto schedule :
          {SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
           SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing}) {

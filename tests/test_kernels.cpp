@@ -1,11 +1,16 @@
 // Tests for the rank-specialized SIMD kernel layer (la/kernels.hpp and
-// its MTTKRP dispatch): the compile-time-R path must agree with the
+// the MTTKRP kernel table): the compile-time-R path must agree with the
 // generic runtime-rank path within 1e-12 across ranks (specialized and
-// fallback), modes, and sync strategies, and the register-blocked dense
-// kernels must match their naive reference loops.
+// fallback), modes, and sync strategies; every (precision, width, index
+// pair) must freeze its table row and match the COO oracle; and the
+// register-blocked dense kernels must match their naive reference loops.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "csf/csf.hpp"
@@ -94,25 +99,20 @@ struct StrategyCase {
   int nthreads;
 };
 
-/// Runs the mode-\p mode MTTKRP over \p csf with the given strategy and
-/// kernel width through the pure-execution entry point.
+/// Runs the mode-\p mode MTTKRP over \p csf through a one-shot mode plan
+/// with its strategy forced to \p sc, on the fixed-width kernels or the
+/// generic loops.
 la::Matrix run_exec(const CsfTensor& csf,
                     const std::vector<la::Matrix>& factors, int mode,
-                    idx_t rank, const StrategyCase& sc, idx_t kernel_width) {
+                    idx_t rank, const StrategyCase& sc, bool fixed) {
   MttkrpOptions opts;
   opts.nthreads = sc.nthreads;
-  opts.use_fixed_kernels = kernel_width != 0;
+  opts.use_fixed_kernels = fixed;
   MttkrpWorkspace ws(opts, rank, csf.order());
-  const int level = csf.level_of_mode(mode);
-  const SliceSchedule slices(SchedulePolicy::kWeighted, csf.nfibers(0),
-                             csf.root_nnz_prefix(), sc.nthreads);
-  std::vector<nnz_t> tiles;
-  if (sc.strategy == SyncStrategy::kTile) {
-    tiles = leaf_tile_bounds(csf, sc.nthreads);
-  }
+  MttkrpModePlan mp = plan_mode(csf, mode, rank, opts);
+  mp.strategy = sc.strategy;
   la::Matrix out(csf.dims()[static_cast<std::size_t>(mode)], rank);
-  mttkrp_csf_exec(csf, factors, mode, level, sc.strategy, slices, tiles,
-                  kernel_width, out, ws);
+  mttkrp_csf_exec(mp, factors, out, ws);
   return out;
 }
 
@@ -132,20 +132,14 @@ TEST(KernelEquivalence, SpecializedMatchesGenericEverywhere) {
       const CsfTensor csf(sorted, mode_order);
 
       for (int mode = 0; mode < 3; ++mode) {
-        const int level = csf.level_of_mode(mode);
-        std::vector<StrategyCase> cases = {
-            {SyncStrategy::kNone, 1},
-            {SyncStrategy::kLock, 4},
-            {SyncStrategy::kPrivatize, 4},
-        };
-        if (level == csf.order() - 1) {
-          cases.push_back({SyncStrategy::kTile, 4});
-        }
-        for (const StrategyCase& sc : cases) {
+        for (const StrategyCase& sc : {StrategyCase{SyncStrategy::kNone, 1},
+                                       StrategyCase{SyncStrategy::kLock, 4},
+                                       StrategyCase{SyncStrategy::kPrivatize,
+                                                    4}}) {
           const la::Matrix generic =
-              run_exec(csf, factors, mode, rank, sc, 0);
+              run_exec(csf, factors, mode, rank, sc, false);
           const la::Matrix specialized =
-              run_exec(csf, factors, mode, rank, sc, width);
+              run_exec(csf, factors, mode, rank, sc, true);
           EXPECT_LT(specialized.max_abs_diff(generic), kTol)
               << "rank " << rank << " width " << width << " root " << root
               << " mode " << mode << " strategy "
@@ -177,6 +171,104 @@ TEST(KernelEquivalence, PlanDispatchMatchesPlanless) {
       mttkrp(set, factors, mode, planless, ws);
       EXPECT_LT(planned.max_abs_diff(planless), kTol)
           << "rank " << rank << " mode " << mode;
+    }
+  }
+}
+
+// ------------------------------------------------ kernel table coverage
+
+/// A tensor shape whose leaf dim and nnz land the compressed layout on one
+/// (leaf fid, deepest fptr) byte-width pair.
+struct IndexPairCase {
+  dims_t dims;
+  nnz_t nnz;
+  CsfLayout layout;
+  int fid_width;
+  int ptr_width;
+};
+
+/// Whether \p precision's bundle at kernel \p width has a typed view for
+/// the index pair: the wide pair everywhere; the narrow pairs on f64 and
+/// on the mixed fixed-width bundles only.
+bool has_typed_view(Precision precision, idx_t width, int fid, int ptr) {
+  if (fid == 4 && ptr == 8) {
+    return true;
+  }
+  const bool narrow_bundle =
+      precision == Precision::kF64 ||
+      (precision == Precision::kMixed && width != 0);
+  const bool narrow_pair = (fid == 1 && ptr == 2) || (fid == 2 && ptr == 2) ||
+                           (fid == 2 && ptr == 4) || (fid == 4 && ptr == 4);
+  return narrow_bundle && narrow_pair;
+}
+
+TEST(KernelTable, EveryPrecisionWidthAndIndexPairFreezesItsRow) {
+  // Leaf dims 255/256/65535/65536 straddle the u8/u16/u32 fid cutoffs;
+  // nnz 3000 vs 70000 puts the deepest fptr on either side of 65535.
+  // (1, 4) and (4, 2) are pairs no typed view covers.
+  const IndexPairCase cases[] = {
+      {{20, 30, 255}, 3000, CsfLayout::kCompressed, 1, 2},
+      {{20, 30, 256}, 3000, CsfLayout::kCompressed, 2, 2},
+      {{20, 30, 65535}, 70000, CsfLayout::kCompressed, 2, 4},
+      {{20, 30, 65536}, 70000, CsfLayout::kCompressed, 4, 4},
+      {{20, 30, 256}, 3000, CsfLayout::kWide, 4, 8},
+      {{20, 30, 255}, 70000, CsfLayout::kCompressed, 1, 4},
+      {{20, 30, 65536}, 3000, CsfLayout::kCompressed, 4, 2},
+  };
+  const std::vector<int> mode_order = {0, 1, 2};
+  // Rank 17 pads to 24, which has no instantiation: the generic tier.
+  const idx_t ranks[] = {17, 4, 8, 16, 32, 40, 64};
+  const std::pair<Precision, double> precisions[] = {
+      {Precision::kF64, 1e-12},
+      {Precision::kMixed, 1e-6},
+      {Precision::kF32, 1e-3}};
+
+  for (const IndexPairCase& pc : cases) {
+    SparseTensor t = generate_synthetic(
+        {.dims = pc.dims, .nnz = pc.nnz, .seed = 61, .zipf_exponent = 0.3});
+    sort_tensor_perm(t, mode_order, 2);
+    const CsfTensor csf(t, mode_order, pc.layout);
+    ASSERT_EQ(csf.fid_width(2), pc.fid_width);
+    ASSERT_EQ(csf.ptr_width(1), pc.ptr_width);
+
+    for (const idx_t rank : ranks) {
+      const idx_t width = la::kern::fixed_width_for(rank);
+      const auto factors = make_factors(t, rank, 5);
+      for (int mode = 0; mode < 3; ++mode) {
+        la::Matrix want(t.dim(mode), rank);
+        mttkrp_coo(t, factors, mode, want, MttkrpOptions{});
+        double scale = 1.0;
+        for (const val_t v : want.values()) {
+          scale = std::max(scale, std::abs(v));
+        }
+        for (const auto& [precision, tol] : precisions) {
+          // One thread: this pins each row's resolution and arithmetic;
+          // the lock/privatize sinks per view are covered by the
+          // compressed-vs-wide suites in test_csf_compressed.cpp.
+          MttkrpOptions opts;
+          opts.nthreads = 1;
+          opts.precision = precision;
+          MttkrpWorkspace ws(opts, rank, 3);
+          const MttkrpModePlan mp = plan_mode(csf, mode, rank, opts);
+          const bool typed =
+              has_typed_view(precision, width, pc.fid_width, pc.ptr_width);
+          const MttkrpKernelKey expect{precision, width,
+                                       typed ? pc.fid_width : 0,
+                                       typed ? pc.ptr_width : 0};
+          const std::string what =
+              std::string(precision_name(precision)) + " rank " +
+              std::to_string(rank) + " pair (" +
+              std::to_string(pc.fid_width) + ", " +
+              std::to_string(pc.ptr_width) + ") mode " +
+              std::to_string(mode);
+          EXPECT_TRUE(mp.key == expect)
+              << what << ": frozen row (" << mp.key.leaf_fid_width << ", "
+              << mp.key.deep_ptr_width << ") width " << mp.key.width;
+          la::Matrix out(t.dim(mode), rank);
+          mttkrp_csf_exec(mp, factors, out, ws);
+          EXPECT_LE(out.max_abs_diff(want), tol * scale) << what;
+        }
+      }
     }
   }
 }

@@ -316,6 +316,28 @@ TEST(Workspace, LastStrategyReportsDecision) {
   EXPECT_EQ(ws.last_strategy, SyncStrategy::kLock);
 }
 
+TEST(Workspace, AppliesItsBackendBeforeBuildingTheLockPool) {
+  // The planless path must honor MttkrpOptions::backend: the workspace
+  // applies it before its lock pool captures a BackendLock flavor.
+  Fixture fx({10, 11, 12}, 300, 4, 750);
+  SparseTensor work = fx.coo;
+  const CsfSet set(work, CsfPolicy::kOneMode, 2);
+  const ParallelBackendKind before = parallel_backend();
+  set_parallel_backend(ParallelBackendKind::kOmp);
+  MttkrpOptions opts;
+  opts.nthreads = 2;
+  opts.force_locks = true;
+  opts.backend = ParallelBackendKind::kPool;
+  MttkrpWorkspace ws(opts, fx.rank, 3);
+  int level = 0;
+  const CsfTensor& csf = set.csf_for_mode(2, level);
+  la::Matrix out(fx.coo.dim(2), fx.rank);
+  mttkrp_csf(csf, fx.factors, 2, out, ws);
+  EXPECT_EQ(parallel_backend(), ParallelBackendKind::kPool);
+  EXPECT_LT(out.max_abs_diff(fx.oracle(2)), kTol);
+  set_parallel_backend(before);
+}
+
 TEST(Mttkrp, RejectsWrongShapes) {
   Fixture fx({8, 8, 8}, 100, 3, 800);
   SparseTensor work = fx.coo;
@@ -328,81 +350,10 @@ TEST(Mttkrp, RejectsWrongShapes) {
   EXPECT_THROW(mttkrp(set, fx.factors, 0, bad_cols, ws), Error);
 }
 
-class CsfTiledLeafTest
-    : public ::testing::TestWithParam<std::tuple<RowAccess, int>> {};
-
-TEST_P(CsfTiledLeafTest, MatchesDenseOracle) {
-  const auto [ra, nthreads] = GetParam();
-  Fixture fx({13, 9, 24}, 400, 6, 1000);
-
-  // Root the CSF so the largest mode sits at the leaf.
-  const auto mode_order = csf_mode_order(fx.coo.dims(), -1);
-  const int leaf_mode = mode_order.back();
-  SparseTensor sorted = fx.coo;
-  sort_tensor_perm(sorted, mode_order, 2);
-  const CsfTensor csf(sorted, mode_order);
-  ASSERT_EQ(csf.level_of_mode(leaf_mode), 2);
-
-  MttkrpOptions opts;
-  opts.nthreads = nthreads;
-  opts.row_access = ra;
-  opts.use_tiling = true;
-  MttkrpWorkspace ws(opts, fx.rank, 3);
-  la::Matrix out(fx.coo.dim(leaf_mode), fx.rank);
-  mttkrp_csf(csf, fx.factors, leaf_mode, out, ws);
-  if (nthreads > 1) {
-    EXPECT_EQ(ws.last_strategy, SyncStrategy::kTile);
-  }
-  EXPECT_LT(out.max_abs_diff(fx.oracle(leaf_mode)), kTol);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesThreads, CsfTiledLeafTest,
-    ::testing::Combine(::testing::Values(RowAccess::kPointer,
-                                         RowAccess::kSlice),
-                       ::testing::Values(1, 2, 4, 16)));
-
-TEST(CsfTiledLeaf, TilingIgnoredOnInternalLevels) {
-  Fixture fx({10, 14, 12}, 300, 4, 1100);
-  SparseTensor sorted = fx.coo;
-  // Root at mode 2 puts mode 1 at an internal level.
-  const auto mode_order = csf_mode_order(fx.coo.dims(), 2);
-  sort_tensor_perm(sorted, mode_order, 1);
-  const CsfTensor csf(sorted, mode_order);
-  const int internal_mode = csf.mode_at_level(1);
-
-  MttkrpOptions opts;
-  opts.nthreads = 4;
-  opts.use_tiling = true;
-  MttkrpWorkspace ws(opts, fx.rank, 3);
-  la::Matrix out(fx.coo.dim(internal_mode), fx.rank);
-  mttkrp_csf(csf, fx.factors, internal_mode, out, ws);
-  EXPECT_NE(ws.last_strategy, SyncStrategy::kTile);
-  EXPECT_LT(out.max_abs_diff(fx.oracle(internal_mode)), kTol);
-}
-
-TEST(CsfTiledLeaf, HigherOrderTensor) {
-  Fixture fx({8, 7, 9, 11}, 250, 4, 1200);
-  const auto mode_order = csf_mode_order(fx.coo.dims(), -1);
-  const int leaf_mode = mode_order.back();
-  SparseTensor sorted = fx.coo;
-  sort_tensor_perm(sorted, mode_order, 1);
-  const CsfTensor csf(sorted, mode_order);
-
-  MttkrpOptions opts;
-  opts.nthreads = 3;
-  opts.use_tiling = true;
-  MttkrpWorkspace ws(opts, fx.rank, 4);
-  la::Matrix out(fx.coo.dim(leaf_mode), fx.rank);
-  mttkrp_csf(csf, fx.factors, leaf_mode, out, ws);
-  EXPECT_EQ(ws.last_strategy, SyncStrategy::kTile);
-  EXPECT_LT(out.max_abs_diff(fx.oracle(leaf_mode)), kTol);
-}
-
 // ------------------------------------------------------- work stealing
 
-/// Runs a mode-\p mode MTTKRP over \p csf through the pure-execution
-/// entry point with an explicit schedule policy.
+/// Runs a mode-\p mode MTTKRP over \p csf through a one-shot mode plan
+/// with an explicit schedule policy and a forced sync strategy.
 la::Matrix run_scheduled_exec(const CsfTensor& csf,
                               const std::vector<la::Matrix>& factors,
                               int mode, idx_t rank, SchedulePolicy policy,
@@ -411,16 +362,10 @@ la::Matrix run_scheduled_exec(const CsfTensor& csf,
   opts.nthreads = nthreads;
   opts.schedule = policy;
   MttkrpWorkspace ws(opts, rank, csf.order());
-  const int level = csf.level_of_mode(mode);
-  const SliceSchedule slices(policy, csf.nfibers(0), csf.root_nnz_prefix(),
-                             nthreads);
-  std::vector<nnz_t> tiles;
-  if (strategy == SyncStrategy::kTile) {
-    tiles = leaf_tile_bounds(csf, nthreads);
-  }
+  MttkrpModePlan mp = plan_mode(csf, mode, rank, opts);
+  mp.strategy = strategy;
   la::Matrix out(csf.dims()[static_cast<std::size_t>(mode)], rank);
-  mttkrp_csf_exec(csf, factors, mode, level, strategy, slices, tiles,
-                  selected_kernel_width(rank, opts), out, ws);
+  mttkrp_csf_exec(mp, factors, out, ws);
   return out;
 }
 
@@ -447,9 +392,6 @@ TEST(WorkStealingMttkrp, MatchesEveryOtherScheduleEverywhere) {
         if (nthreads > 1 && level > 0) {
           strategies.push_back(SyncStrategy::kLock);
           strategies.push_back(SyncStrategy::kPrivatize);
-          if (level == csf.order() - 1) {
-            strategies.push_back(SyncStrategy::kTile);
-          }
         }
         for (const SyncStrategy strategy : strategies) {
           const la::Matrix ws_out = run_scheduled_exec(
@@ -492,23 +434,20 @@ TEST(WorkStealingMttkrp, SkewedFixtureStealsAndMatchesStatic) {
   const int mode = csf.mode_at_level(0);
 
   MttkrpOptions opts;  // nthreads = 1: only worker 0 shows up
-  const SliceSchedule slices(SchedulePolicy::kWorkStealing, csf.nfibers(0),
-                             csf.root_nnz_prefix(), /*nthreads=*/2);
+  MttkrpModePlan mp = plan_mode(csf, mode, rank, opts);
+  mp.slices = SliceSchedule(SchedulePolicy::kWorkStealing, csf.nfibers(0),
+                            csf.root_nnz_prefix(), /*nthreads=*/2);
   MttkrpWorkspace ws(opts, rank, 3);
   la::Matrix out(coo.dim(mode), rank);
-  const std::uint64_t steals_before = slices.steals();
-  mttkrp_csf_exec(csf, factors, mode, 0, SyncStrategy::kNone, slices, {},
-                  selected_kernel_width(rank, opts), out, ws);
-  EXPECT_GT(slices.steals(), steals_before) << "no steal under imbalance";
+  const std::uint64_t steals_before = mp.slices.steals();
+  mttkrp_csf_exec(mp, factors, out, ws);
+  EXPECT_GT(mp.slices.steals(), steals_before) << "no steal under imbalance";
 
   MttkrpOptions sopts;
   sopts.schedule = SchedulePolicy::kStatic;
   MttkrpWorkspace sws(sopts, rank, 3);
-  const SliceSchedule static_slices(SchedulePolicy::kStatic,
-                                    csf.nfibers(0), {}, 1);
   la::Matrix expected(coo.dim(mode), rank);
-  mttkrp_csf_exec(csf, factors, mode, 0, SyncStrategy::kNone, static_slices,
-                  {}, selected_kernel_width(rank, sopts), expected, sws);
+  mttkrp_csf_exec(plan_mode(csf, mode, rank, sopts), factors, expected, sws);
   EXPECT_LT(out.max_abs_diff(expected), 1e-12);
 }
 

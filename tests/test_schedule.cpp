@@ -360,8 +360,8 @@ std::vector<la::Matrix> plan_factors(const SparseTensor& t, idx_t rank) {
 }
 
 /// Compares the planned MTTKRP against the planless path for every mode.
-/// Strategies with a fixed thread->output assignment (none, privatize,
-/// tile under static/weighted schedules) must match BITWISE; the lock
+/// Strategies with a fixed thread->output assignment (none, privatize
+/// under static/weighted schedules) must match BITWISE; the lock
 /// strategy and the runtime schedules (dynamic, workstealing) only fix
 /// the per-row term sets, not their accumulation order, so those match
 /// to round-off.
@@ -425,24 +425,6 @@ TEST(MttkrpPlan, MatchesPlanlessAcrossStrategiesAndPolicies) {
       expect_plan_matches_planless(set, nopriv, rank);
     }
   }
-}
-
-TEST(MttkrpPlan, MatchesPlanlessWithTiling) {
-  init_parallel_runtime();
-  SparseTensor x = plan_tensor();
-  // One-mode policy: the non-root modes dispatch to internal/leaf kernels
-  // of the single representation, so use_tiling reaches the leaf path.
-  CsfSet set(x, CsfPolicy::kOneMode, 2);
-  MttkrpOptions opts;
-  opts.nthreads = 4;
-  opts.use_tiling = true;
-  expect_plan_matches_planless(set, opts, 5);
-  bool tiled = false;
-  MttkrpPlan plan(set, 5, opts);
-  for (int m = 0; m < set.order(); ++m) {
-    tiled |= plan.mode_plan(m).strategy == SyncStrategy::kTile;
-  }
-  EXPECT_TRUE(tiled) << "tiling never engaged; test shape is wrong";
 }
 
 // ------------------------------------------------- zero planning in loop

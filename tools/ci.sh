@@ -121,6 +121,35 @@ grep -q "resumed from iteration" <<< "$IOFAIL_RESUME_OUT" \
   || { echo "ci: resume after torn checkpoint failed" >&2; exit 1; }
 echo "ci: fault-injection matrix recovered on every class"
 
+echo "== index-view gate: compressed-layout models equal the wide layout's =="
+# The compressed layout runs the MTTKRP kernel table's narrow typed views
+# (or the erased fallback); the wide layout runs the (u32, u64) view. On
+# one thread with a fixed iteration count every view must reproduce the
+# wide view's bits: f64 exact and padded widths, mixed, f32, the generic
+# tier (rank 17 pads to an uninstantiated width) and forced generic loops.
+VIEW_DIR="$BUILD_DIR/view_gate"
+rm -rf "$VIEW_DIR"
+mkdir -p "$VIEW_DIR"
+VIEW_CONFIG=0
+while read -r -a VIEW_FLAGS; do
+  VIEW_CONFIG=$((VIEW_CONFIG + 1))
+  for LAYOUT in compressed wide; do
+    "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --threads 1 --iters 5 \
+      --tolerance 0 "${VIEW_FLAGS[@]}" --csf-layout "$LAYOUT" \
+      --output "$VIEW_DIR/$VIEW_CONFIG.$LAYOUT.model" > /dev/null
+  done
+  cmp "$VIEW_DIR/$VIEW_CONFIG.compressed.model" \
+    "$VIEW_DIR/$VIEW_CONFIG.wide.model" \
+    || { echo "ci: compressed != wide for ${VIEW_FLAGS[*]}" >&2; exit 1; }
+done <<'VIEWS'
+--rank 35
+--rank 16 --precision mixed
+--rank 35 --precision f32
+--rank 17
+--rank 64 --kernels generic
+VIEWS
+echo "ci: every index view reproduces the wide view bitwise"
+
 echo "== ingest smoke: .tns parse independent of team size and backend =="
 # A ~22 MB .tns spans several 4 MiB parser blocks. The parse team comes
 # from OMP_NUM_THREADS (omp) or the pool's width; the decomposition runs

@@ -1,6 +1,5 @@
-// Seeded violations: unaligned value arrays in a hot directory. Raw
-// fids()/fptr() calls below must NOT be reported — this file is inside
-// src/csf, the layer that owns them. Never compiled.
+// Seeded violations: unaligned value arrays in a hot directory. Never
+// compiled.
 
 #include <vector>
 
@@ -10,11 +9,6 @@ struct FixtureStore {
   std::vector<int> counts;        // fine: not a value stream
   aligned_vector<val_t> aligned;  // fine: the required type
 };
-
-void owner_access(const CsfTensor& csf) {
-  const auto& ids = csf.fids(0);  // fine: inside src/csf
-  (void)ids;
-}
 
 void waived_scratch() {
   // sptd-lint: allow(unaligned-value-array) cold path, alignment irrelevant

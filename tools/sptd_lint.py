@@ -5,12 +5,6 @@ The contracts in ROADMAP.md that can be stated as "this pattern must not
 appear outside that directory" are checked here, so violating one fails
 CI instead of waiting for a reviewer to remember it. The rules:
 
-  wide-accessor         .fids( / ->fids( / .fptr( / ->fptr( outside
-                        src/csf/. The wide accessors throw on
-                        narrow-width levels by contract; code outside
-                        the CSF layer must go through the width-checked
-                        visitors (with_fids/with_fptr) instead of
-                        assuming the index stream is u64.
   omp-outside-parallel  omp_* runtime calls, `#pragma omp`, or direct
                         std::thread/std::jthread construction outside
                         src/parallel/. The parallel/ layer owns team
@@ -123,7 +117,6 @@ def scan_pattern(root, rel, lines, rule, pattern, message, findings,
         findings.append(Finding(rule, rel, idx + 1, message))
 
 
-WIDE_ACCESSOR_RE = re.compile(r"(\.|->)f(ids|ptr)\s*\(")
 OMP_RE = re.compile(r"\bomp_[a-z_]+\s*\(|#\s*pragma\s+omp\b")
 OMP_SIMD_RE = re.compile(r"#\s*pragma\s+omp\s+simd\b")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
@@ -142,12 +135,6 @@ def lint_sources(root):
     findings = []
     for rel in iter_source_files(root, "src"):
         lines = read_lines(root, rel)
-        if not in_dir(rel, "src/csf"):
-            scan_pattern(
-                root, rel, lines, "wide-accessor", WIDE_ACCESSOR_RE,
-                "raw fids()/fptr() outside src/csf: these throw on "
-                "narrow levels; use the width-checked visitors",
-                findings)
         if not in_dir(rel, "src/parallel"):
             scan_pattern(
                 root, rel, lines, "omp-outside-parallel", OMP_RE,
@@ -224,11 +211,10 @@ def lint(root):
 # --self-test: every (rule, relative-path) pair that MUST be reported
 # when linting tools/lint_fixtures/, with the count of findings expected
 # in that file. The fixtures also seed allow-marked and exempt sites
-# (omp simd, registered fields, code inside src/csf) that must NOT be
-# reported; the exact-match check below catches both missed violations
-# and false positives.
+# (omp simd, registered fields) that must NOT be reported; the
+# exact-match check below catches both missed violations and false
+# positives.
 EXPECTED_FIXTURE_FINDINGS = {
-    ("wide-accessor", "src/mttkrp/fixture_contracts.cpp"): 2,
     ("omp-outside-parallel", "src/la/fixture_hot_path.cpp"): 3,
     ("std-function-hot-path", "src/la/fixture_hot_path.cpp"): 1,
     ("std-function-hot-path", "src/parallel/fixture_context.cpp"): 1,
