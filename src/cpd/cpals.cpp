@@ -1,20 +1,9 @@
 #include "cpd/cpals.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <optional>
-
 #include "common/error.hpp"
-#include "common/log.hpp"
-#include "la/blas.hpp"
-#include "la/cholesky.hpp"
-#include "la/kernels.hpp"
-#include "la/norms.hpp"
+#include "cpd/als_loop.hpp"
 #include "mttkrp/plan.hpp"
-#include "parallel/partition.hpp"
 #include "parallel/team.hpp"
-#include "resilience/context.hpp"
 
 namespace sptd {
 
@@ -48,61 +37,6 @@ void apply_impl_variant(const ImplVariant& variant, CpalsOptions& opts) {
   opts.sort_variant = variant.sort_variant;
 }
 
-namespace detail {
-
-/// <X, Z> via the MTTKRP identity: Σ_r λ_r Σ_i M(i,r)·A(i,r), where M is
-/// the final mode's MTTKRP output (computed against the other updated
-/// factors) and A the updated, normalized final factor.
-val_t fit_inner_product(const la::Matrix& mttkrp_out, const la::Matrix& a,
-                        std::span<const val_t> lambda, int nthreads,
-                        PrivateBuffers& partials) {
-  const idx_t rank = a.cols();
-  SPTD_CHECK(partials.nthreads() >= nthreads &&
-                 partials.length() >= static_cast<nnz_t>(rank),
-             "fit_inner_product: scratch too small");
-  // Column-wise Frobenius products, parallel over rows; the per-thread
-  // partial rows live in caller-owned scratch reused across iterations.
-  partials.clear(nthreads);
-  parallel_region(nthreads, [&](int tid, int nt) {
-    val_t* part = partials.buffer(tid).data();
-    const Range rows = block_partition(a.rows(), nt, tid);
-    for (nnz_t i = rows.begin; i < rows.end; ++i) {
-      const val_t* mrow = mttkrp_out.row_ptr(static_cast<idx_t>(i));
-      const val_t* arow = a.row_ptr(static_cast<idx_t>(i));
-      la::kern::hadamard_accum(part, mrow, arow, rank);
-    }
-  });
-  std::vector<val_t> col_sums(rank, val_t{0});
-  for (int t = 0; t < nthreads; ++t) {
-    const val_t* part = partials.buffer(t).data();
-    for (idx_t r = 0; r < rank; ++r) {
-      col_sums[r] += part[r];
-    }
-  }
-  val_t inner = 0;
-  for (idx_t r = 0; r < rank; ++r) {
-    inner += lambda[r] * col_sums[r];
-  }
-  return inner;
-}
-
-/// λ^T (⊙ grams) λ.
-val_t model_norm_sq(const std::vector<la::Matrix>& grams,
-                    std::span<const val_t> lambda) {
-  const idx_t rank = grams.front().rows();
-  la::Matrix had(rank, rank);
-  la::gram_hadamard(grams, /*skip=*/-1, had);
-  val_t acc = 0;
-  for (idx_t i = 0; i < rank; ++i) {
-    for (idx_t j = 0; j < rank; ++j) {
-      acc += lambda[i] * lambda[j] * had(i, j);
-    }
-  }
-  return acc < val_t{0} ? val_t{0} : acc;
-}
-
-}  // namespace detail
-
 CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
                        const CpalsOptions& options) {
   SPTD_CHECK(options.rank >= 1, "cp_als: rank must be >= 1");
@@ -111,74 +45,8 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   set_parallel_backend(options.backend);
   init_parallel_runtime();
 
-  const CsfTensor& first = csf_set.csfs().front();
-  const dims_t& dims = first.dims();
-  const int order = first.order();
-  const idx_t rank = options.rank;
-  const int nthreads = options.nthreads;
-
-  CpalsResult result;
-  result.csf_bytes = csf_set.memory_bytes();
-  result.value_bytes = csf_set.value_bytes(options.precision);
-  RoutineTimers& timers = result.timers;
-
-  // Factor initialization: uniform [0,1), deterministic in the seed.
-  Rng rng(options.seed);
-  KruskalModel& model = result.model;
-  model.lambda.assign(rank, val_t{1});
-  model.factors.reserve(static_cast<std::size_t>(order));
-  for (int m = 0; m < order; ++m) {
-    model.factors.push_back(
-        la::Matrix::random(dims[static_cast<std::size_t>(m)], rank, rng));
-  }
-
-  ResilienceContext rctx(options.resilience, "cpals", options.seed);
-  int it = 0;
-  double prev_fit = 0.0;
-  if (std::optional<Checkpoint> ck = rctx.try_resume()) {
-    SPTD_CHECK(ck->factors.size() == static_cast<std::size_t>(order),
-               "cpals resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == dims[static_cast<std::size_t>(m)] &&
-                     f.cols() == rank,
-                 "cpals resume: checkpoint factor shape mismatch");
-    }
-    const std::vector<double>* lam = ck->find_series("lambda");
-    SPTD_CHECK(lam != nullptr && lam->size() == rank,
-               "cpals resume: checkpoint lambda mismatch");
-    model.factors = std::move(ck->factors);
-    for (idx_t r = 0; r < rank; ++r) {
-      model.lambda[r] = static_cast<val_t>((*lam)[r]);
-    }
-    if (const std::vector<double>* fh = ck->find_series("fit_history")) {
-      result.fit_history = *fh;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double f : *fh) {
-        best_loss = std::min(best_loss, 1.0 - f);
-      }
-      rctx.health().seed_trend(best_loss);
-    }
-    prev_fit = ck->scalar("prev_fit", 0.0);
-    it = ck->iteration;
-    result.iterations = it;
-  }
-
-  // Gram matrices A^T A for every mode. On resume these are recomputed
-  // from the restored factors — la::ata is deterministic, so they match
-  // the uninterrupted run's Grams bitwise.
-  std::vector<la::Matrix> grams;
-  grams.reserve(static_cast<std::size_t>(order));
-  timers.start(Routine::kMatAtA);
-  for (int m = 0; m < order; ++m) {
-    grams.emplace_back(rank, rank);
-    la::ata(model.factors[static_cast<std::size_t>(m)],
-            grams[static_cast<std::size_t>(m)], nthreads);
-  }
-  timers.stop(Routine::kMatAtA);
-
   MttkrpOptions mopts;
-  mopts.nthreads = nthreads;
+  mopts.nthreads = options.nthreads;
   mopts.row_access = options.row_access;
   mopts.lock_kind = options.lock_kind;
   mopts.schedule = options.schedule;
@@ -191,186 +59,26 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   mopts.precision = options.precision;
   mopts.backend = options.backend;
   // All scheduling decisions — representation/level per mode, sync
-  // strategy, slice bounds, tile boundaries, reduction buffers — are
-  // frozen here; the iteration loop below is pure execution.
-  MttkrpPlan plan(csf_set, rank, mopts);
+  // strategy, slice bounds, reduction buffers — are frozen here; the
+  // iteration loop below is pure execution.
+  MttkrpPlan plan(csf_set, options.rank, mopts);
 
-  la::Matrix v(rank, rank);
-  la::Matrix fit_m;  // last mode's MTTKRP output, kept for the fit
-  // Per-thread fit scratch, allocated once for the whole run (the fit is
-  // computed every iteration; its reduction buffers must not be).
-  PrivateBuffers fit_partials(nthreads, static_cast<nnz_t>(rank));
-
-  // Last state that passed the health scan, for rollback-and-perturb.
-  // Only maintained while guards are on (one extra model copy per
-  // iteration, O(sum dims · R) — noise next to the MTTKRP).
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<val_t> lambda;
-    std::vector<double> fit_history;
-    double prev_fit = 0.0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, model.lambda, result.fit_history, prev_fit, it};
+  detail::CpalsLoop als(options, csf_set.csfs().front().dims(),
+                        tensor_norm_sq, "cpals");
+  als.resume();
+  while (!als.done()) {
+    als.step([&plan](const std::vector<la::Matrix>& factors, int mode,
+                     la::Matrix& out) { plan.execute(factors, mode, out); });
   }
 
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
-    for (int m = 0; m < order; ++m) {
-      la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
-      const idx_t m_dim = dims[static_cast<std::size_t>(m)];
-
-      // M = X_(m) (A_{N-1} ⊙ ... ⊙ A_{m+1} ⊙ A_{m-1} ⊙ ... ) — MTTKRP.
-      la::Matrix out_view(m_dim, rank);
-      timers.start(Routine::kMttkrp);
-      plan.execute(model.factors, m, out_view);
-      timers.stop(Routine::kMttkrp);
-
-      // The fit consumes the final mode's MTTKRP result; keep a copy
-      // before the in-place solve overwrites it (M never involves the
-      // mode's own factor, so the post-update fit identity still holds).
-      if (m == order - 1 && options.compute_fit) {
-        timers.start(Routine::kFit);
-        fit_m = out_view;
-        timers.stop(Routine::kFit);
-      }
-
-      // V = ⊙_{n != m} grams[n]  (lines 4/7/10).
-      timers.start(Routine::kMatAtA);
-      la::gram_hadamard(grams, m, v);
-      timers.stop(Routine::kMatAtA);
-
-      // A(m) = M V^{-1}  (Moore–Penrose via Cholesky; lines 5/8/11).
-      timers.start(Routine::kInverse);
-      la::solve_normal_equations(v, out_view, nthreads);
-      timers.stop(Routine::kInverse);
-
-      if (options.nonnegative) {
-        // Projected ALS: clamp to the non-negative orthant.
-        parallel_region(nthreads, [&](int tid, int nt) {
-          const Range rows = block_partition(out_view.size(), nt, tid);
-          val_t* data = out_view.data();
-          for (nnz_t i = rows.begin; i < rows.end; ++i) {
-            if (data[i] < val_t{0}) {
-              data[i] = val_t{0};
-            }
-          }
-        });
-      }
-      factor = std::move(out_view);
-
-      // Column normalization (lines 6/9/12): 2-norm first iteration,
-      // max-norm afterwards (SPLATT's scheme).
-      timers.start(Routine::kMatNorm);
-      la::normalize_columns(factor, model.lambda,
-                            it == 0 ? la::MatNorm::kTwo : la::MatNorm::kMax,
-                            nthreads);
-      timers.stop(Routine::kMatNorm);
-
-      // Pure-f32 mode: the factor master itself carries only fp32
-      // information (the ablation endpoint the mixed mode is judged
-      // against). Rounding after normalization keeps λ and the Grams
-      // consistent with what the next MTTKRP streams.
-      if (options.precision == Precision::kF32) {
-        la::round_through_f32(factor);
-      }
-
-      // Refresh this mode's Gram matrix.
-      timers.start(Routine::kMatAtA);
-      la::ata(factor, grams[static_cast<std::size_t>(m)], nthreads);
-      timers.stop(Routine::kMatAtA);
-    }
-
-    // Fault injection lands between the factor updates and the health
-    // scan, exactly where a soft error would corrupt an iterate.
-    if (FaultInjector* inj = rctx.injector()) {
-      inj->corrupt_factors(model.factors, it);
-    }
-
-    // Fit (line 13): 1 - ||X - Z||_F / ||X||_F via the sparse identity.
-    double fit = 0.0;
-    double loss = HealthMonitor::kNoLoss;
-    if (options.compute_fit) {
-      timers.start(Routine::kFit);
-      const int last = order - 1;
-      const val_t inner = detail::fit_inner_product(
-          fit_m, model.factors[static_cast<std::size_t>(last)],
-          model.lambda, nthreads, fit_partials);
-      const val_t norm_z = detail::model_norm_sq(grams, model.lambda);
-      val_t residual_sq = tensor_norm_sq + norm_z - 2 * inner;
-      if (residual_sq < val_t{0}) residual_sq = 0;
-      fit = (tensor_norm_sq > val_t{0})
-                ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                            std::sqrt(static_cast<double>(tensor_norm_sq))
-                : 0.0;
-      timers.stop(Routine::kFit);
-      loss = 1.0 - fit;
-    }
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, model.lambda, loss);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        // Rollback-and-perturb: restore the last healthy state, jitter it
-        // off the failing trajectory, and rebuild the Grams.
-        model.factors = good.factors;
-        model.lambda = good.lambda;
-        result.fit_history = good.fit_history;
-        prev_fit = good.prev_fit;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        if (options.precision == Precision::kF32) {
-          for (la::Matrix& f : model.factors) {
-            la::round_through_f32(f);
-          }
-        }
-        timers.start(Routine::kMatAtA);
-        for (int m = 0; m < order; ++m) {
-          la::ata(model.factors[static_cast<std::size_t>(m)],
-                  grams[static_cast<std::size_t>(m)], nthreads);
-        }
-        timers.stop(Routine::kMatAtA);
-        continue;
-      }
-      rctx.note_healthy();
-    }
-
-    if (options.compute_fit) {
-      result.fit_history.push_back(fit);
-      if (options.tolerance > 0.0 && it > 0 &&
-          std::abs(fit - prev_fit) < options.tolerance) {
-        stopped = true;
-      }
-      prev_fit = fit;
-    }
-    ++it;
-    result.iterations = it;
-
-    if (guard) {
-      good.factors = model.factors;
-      good.lambda = model.lambda;
-      good.fit_history = result.fit_history;
-      good.prev_fit = prev_fit;
-      good.iteration = it;
-    }
-
-    // Mid-run snapshots only: a run that is about to return rebuilds
-    // nothing on resume, and the final model is the caller's to persist.
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.set_series("lambda", std::vector<double>(model.lambda.begin(),
-                                                  model.lambda.end()));
-      ck.set_series("fit_history", result.fit_history);
-      ck.set_scalar("prev_fit", prev_fit);
-      rctx.save_checkpoint(std::move(ck));
-    }
-  }
-  rctx.finish(result.resilience);
+  CpalsResult result;
+  result.model = std::move(als.model());
+  result.fit_history = std::move(als.fit_history());
+  result.iterations = als.iteration();
+  result.timers = als.timers();
+  result.csf_bytes = csf_set.memory_bytes();
+  result.value_bytes = csf_set.value_bytes(options.precision);
+  als.resilience().finish(result.resilience);
   return result;
 }
 

@@ -122,10 +122,10 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
 
 namespace detail {
 
-/// Fit helpers shared with the simulated distributed driver
-/// (dist/dist_cpals.cpp), which must reproduce the shared-memory fit with
-/// bit-identical arithmetic. \p partials is caller-owned scratch of at
-/// least rank values per thread, allocated once per ALS run instead of
+/// Fit helpers of the ALS iteration core (cpd/als_loop.hpp) that both
+/// cp_als and the distributed driver run; exposed so a replay of the loop
+/// can reproduce its fit bitwise. \p partials is caller-owned scratch of
+/// at least rank values per thread, allocated once per ALS run instead of
 /// per iteration; only the first rank values of each buffer are used.
 val_t fit_inner_product(const la::Matrix& mttkrp_out, const la::Matrix& a,
                         std::span<const val_t> lambda, int nthreads,

@@ -23,8 +23,9 @@
 /// detection, SIGKILL recovery from checkpoint); `--transport mpi` runs
 /// one MPI rank per locale when built with MPI. All transports sum in
 /// locale order, so fits match across transports bitwise at f64 with one
-/// thread per locale, and match the shared-memory driver exactly for one
-/// locale.
+/// thread per locale. The ALS iteration itself is cp_als_csf's
+/// (cpd/als_loop.hpp), so one locale matches the shared-memory driver
+/// exactly at every precision.
 
 #include <vector>
 
@@ -62,9 +63,10 @@ struct DistOptions {
   /// CSF index-stream widths of each locale's representations
   /// (compressed = narrowest per level; wide = u32/u64 baseline).
   CsfLayout csf_layout = CsfLayout::kCompressed;
-  /// Value-stream precision inside each locale's MTTKRP plan
-  /// (MttkrpOptions::precision); the reductions, solves, and fit always
-  /// run fp64 — only the local kernels change what they stream.
+  /// Value-stream precision, applied as in cp_als: each locale's MTTKRP
+  /// plan streams at this precision (MttkrpOptions::precision), and f32
+  /// also rounds every updated factor through fp32. The reductions,
+  /// solves, and fit always run fp64.
   Precision precision = Precision::kF64;
   /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
   /// Applied process-wide by the dist driver via set_parallel_backend()

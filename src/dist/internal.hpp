@@ -31,7 +31,9 @@ DistPartition partition_tensor(const SparseTensor& x,
 
 /// Everything the replicated ALS loop needs besides the transport. One
 /// process runs the loop for the ranks in \p owned: all of them under
-/// sim, exactly one under shm (a forked child) and mpi (an MPI rank).
+/// sim, exactly one under shm (a forked child) and mpi (an MPI rank). The
+/// shared ALS core runs with options->rank, max_iterations, seed,
+/// precision and resilience, one thread, and no tolerance stop.
 struct LoopConfig {
   const DistOptions* options = nullptr;
   const dims_t* dims = nullptr;
@@ -47,12 +49,22 @@ struct LoopConfig {
   std::function<void(const DistResult&)> on_complete;
 };
 
-/// The replicated CP-ALS loop over a transport: every rank executes the
-/// identical solve/normalize/fit path on identical state; only the MTTKRP
-/// partials are local, and only the transport's locale-order all-reduce
-/// moves data. Handles resume, checkpointing, health rollback, fault
-/// injection, and (under shm) RecoveryInterrupt rejoin.
+/// The replicated CP-ALS loop over a transport. Every rank runs
+/// cp_als_csf's iteration core (cpd/als_loop.hpp) with one thread on
+/// identical state, so solve, normalize, f32 rounding, fit, health
+/// rollback and checkpoints are the shared-memory driver's own. This
+/// function adds only what is distributed: the locale CSF sets and plans,
+/// the locale-partial MTTKRP and the transport's locale-order all-reduce,
+/// heartbeats, rank-kill / locale-kill injection and locale restart, the
+/// comm accounting, and (under shm) the RecoveryInterrupt rejoin.
 DistResult run_dist_loop(const LoopConfig& cfg, DistTransport& tr);
+
+/// Modeled comm totals after \p iterations completed iterations. Every
+/// iteration moves the same predicted volume, so totals are rebuilt from
+/// the count (after rollback, restore, or from a result file) rather than
+/// accumulated or serialized.
+CommVolume comm_after(const DistOptions& options, const dims_t& dims,
+                      int iterations);
 
 /// The in-process byte-accounting simulation (the original dist backend
 /// and still the default): all ranks live in one process and the

@@ -38,6 +38,7 @@
 #include "common/error.hpp"
 #include "common/fileio.hpp"
 #include "common/log.hpp"
+#include "cpd/als_loop.hpp"
 #include "dist/internal.hpp"
 #include "dist/recovery.hpp"
 #include "dist/shm_ring.hpp"
@@ -123,11 +124,7 @@ void publish_rollback(ShmRing& ring, const RollbackPlan& rb) {
         Checkpoint out;
         out.kind = "dist-result";
         out.iteration = res.iterations;
-        out.factors = res.model.factors;
-        out.set_series("lambda",
-                       std::vector<double>(res.model.lambda.begin(),
-                                           res.model.lambda.end()));
-        out.set_series("fit_history", res.fit_history);
+        detail::encode_model(res.model, res.fit_history, out);
         const CommMeasured& cm = tr.measured();
         out.set_scalar("reduce_bytes_measured",
                        static_cast<double>(cm.reduce_bytes));
@@ -170,29 +167,10 @@ DistResult parse_result(const std::string& path, const DistOptions& options,
   SPTD_CHECK(ck->kind == "dist-result",
              "dist shm: unexpected result file kind '" + ck->kind + "'");
   DistResult res;
-  res.model.factors = std::move(ck->factors);
-  const std::vector<double>* lam = ck->find_series("lambda");
-  SPTD_CHECK(lam != nullptr, "dist shm: result file missing lambda");
-  res.model.lambda.assign(lam->begin(), lam->end());
-  if (const std::vector<double>* fh = ck->find_series("fit_history")) {
-    res.fit_history = *fh;
-  }
+  detail::decode_model(*ck, dims, options.rank, res.model, res.fit_history);
   res.iterations = ck->iteration;
   res.locale_nnz = part.locale_nnz;
-
-  const std::size_t order = dims.size();
-  const CommVolume per_iteration =
-      predict_comm_volume(dims, options.grid, options.rank);
-  res.comm.reduce_bytes.assign(order, 0);
-  res.comm.broadcast_bytes.assign(order, 0);
-  for (std::size_t m = 0; m < order; ++m) {
-    res.comm.reduce_bytes[m] =
-        per_iteration.reduce_bytes[m] *
-        static_cast<std::uint64_t>(res.iterations);
-    res.comm.broadcast_bytes[m] =
-        per_iteration.broadcast_bytes[m] *
-        static_cast<std::uint64_t>(res.iterations);
-  }
+  res.comm = comm_after(options, dims, res.iterations);
   res.comm_measured.reduce_bytes =
       static_cast<std::uint64_t>(ck->scalar("reduce_bytes_measured", 0));
   res.comm_measured.broadcast_bytes =

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "common/checksum.hpp"
@@ -112,6 +113,23 @@ class Tokenizer {
     return v;
   }
 
+  /// Next integer, rejected above \p max instead of being narrowed into
+  /// the caller's type.
+  std::uint64_t next_bounded(std::uint64_t max, const char* what) {
+    const std::uint64_t v = next_u64();
+    SPTD_CHECK(v <= max, std::string("checkpoint: ") + what + " " +
+                             std::to_string(v) + " out of range");
+    return v;
+  }
+
+  /// Checks that \p n doubles still fit in the payload, so a hostile
+  /// declared size fails here instead of in the caller's allocation.
+  void require_doubles(std::uint64_t n) const {
+    SPTD_CHECK(n <= (text_.size() - pos_) / sizeof(double),
+               "checkpoint: declared size " + std::to_string(n) +
+                   " exceeds the remaining payload");
+  }
+
   /// Reads a "bin <nbytes>" block into \p n doubles. The byte count is
   /// followed by exactly one '\n', then the raw bytes, then '\n' — raw
   /// bytes are never tokenized, so whitespace-valued bytes are safe.
@@ -125,7 +143,9 @@ class Tokenizer {
     ++pos_;
     SPTD_CHECK(text_.size() - pos_ >= nbytes,
                "checkpoint: truncated raw block");
-    std::memcpy(dst, text_.data() + pos_, nbytes);
+    if (nbytes > 0) {  // an empty series has no buffer to copy into
+      std::memcpy(dst, text_.data() + pos_, nbytes);
+    }
     pos_ += nbytes;
   }
 
@@ -135,9 +155,12 @@ class Tokenizer {
 };
 
 la::Matrix read_matrix(Tokenizer& tok) {
-  const auto rows = static_cast<idx_t>(tok.next_u64());
-  const auto cols = static_cast<idx_t>(tok.next_u64());
+  constexpr std::uint64_t kMaxExtent = std::numeric_limits<idx_t>::max();
+  const auto rows = static_cast<idx_t>(tok.next_bounded(kMaxExtent, "rows"));
+  const auto cols =
+      static_cast<idx_t>(tok.next_bounded(kMaxExtent, "columns"));
   SPTD_CHECK(rows >= 1 && cols >= 1, "checkpoint: bad matrix shape");
+  tok.require_doubles(static_cast<std::uint64_t>(rows) * cols);
   la::Matrix m(rows, cols);
   std::vector<double> flat(static_cast<std::size_t>(rows) * cols);
   tok.read_raw(flat.data(), flat.size());
@@ -297,7 +320,8 @@ Checkpoint Checkpoint::deserialize(const std::string& text) {
   const std::string payload = text.substr(second_nl + 1);
   Tokenizer tok(payload);
   tok.expect("iteration");
-  ck.iteration = static_cast<int>(tok.next_u64());
+  ck.iteration = static_cast<int>(
+      tok.next_bounded(std::numeric_limits<int>::max(), "iteration"));
   tok.expect("rng");
   for (std::uint64_t& s : ck.rng_state) {
     s = tok.next_u64();
@@ -313,6 +337,7 @@ Checkpoint Checkpoint::deserialize(const std::string& text) {
   for (std::uint64_t i = 0; i < nseries; ++i) {
     const std::string name = tok.next_token();
     const std::uint64_t len = tok.next_u64();
+    tok.require_doubles(len);
     std::vector<double> values(len);
     tok.read_raw(values.data(), values.size());
     ck.series.emplace_back(name, std::move(values));

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
@@ -66,16 +67,48 @@ void expect_bitwise_equal(const DistResult& a, const DistResult& b) {
   }
 }
 
-TEST(DistGrid, SingleLocaleMatchesSharedMemoryExactly) {
-  // 1x1x1 grid: no partitioning at all; the fit trajectory must be
-  // bitwise identical to the shared-memory driver (same seed, same
-  // accumulation order with one thread).
+/// Exact bit patterns of fits, factors and lambda: the one-ALS-loop
+/// contract between the distributed and the shared-memory driver.
+void expect_same_bits(const std::vector<double>& fa, const KruskalModel& a,
+                      const std::vector<double>& fb, const KruskalModel& b) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_EQ(bits(fa[i]), bits(fb[i])) << "fit of iteration " << i;
+  }
+  ASSERT_EQ(a.lambda.size(), b.lambda.size());
+  for (std::size_t r = 0; r < a.lambda.size(); ++r) {
+    EXPECT_EQ(bits(a.lambda[r]), bits(b.lambda[r])) << "lambda " << r;
+  }
+  ASSERT_EQ(a.factors.size(), b.factors.size());
+  for (std::size_t m = 0; m < a.factors.size(); ++m) {
+    const la::Matrix& fa_m = a.factors[m];
+    const la::Matrix& fb_m = b.factors[m];
+    ASSERT_EQ(fa_m.rows(), fb_m.rows());
+    ASSERT_EQ(fa_m.cols(), fb_m.cols());
+    std::size_t differing = 0;
+    for (idx_t i = 0; i < fa_m.rows(); ++i) {
+      for (idx_t j = 0; j < fa_m.cols(); ++j) {
+        differing += bits(fa_m(i, j)) != bits(fb_m(i, j)) ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(differing, 0u) << "mode " << m;
+  }
+}
+
+class DistSingleLocale : public ::testing::TestWithParam<Precision> {};
+
+TEST_P(DistSingleLocale, MatchesSharedMemoryBitwise) {
+  // 1x1x1 grid: no partitioning, one thread, the shared ALS core — fits,
+  // factors and lambda must carry cp_als's exact bits at every precision
+  // (f32 included: both drivers round each updated factor through fp32).
   SparseTensor x = test_tensor();
   DistOptions dopts;
   dopts.grid = {1, 1, 1};
   dopts.rank = 4;
   dopts.max_iterations = 5;
   dopts.seed = 23;
+  dopts.precision = GetParam();
   const DistResult dist = dist_cp_als(x, dopts);
 
   SparseTensor x2 = test_tensor();
@@ -85,14 +118,20 @@ TEST(DistGrid, SingleLocaleMatchesSharedMemoryExactly) {
   sopts.tolerance = 0.0;
   sopts.seed = 23;
   sopts.nthreads = 1;
+  sopts.precision = GetParam();
   const CpalsResult shared = cp_als(x2, sopts);
 
-  ASSERT_EQ(dist.fit_history.size(), shared.fit_history.size());
-  for (std::size_t i = 0; i < dist.fit_history.size(); ++i) {
-    EXPECT_NEAR(dist.fit_history[i], shared.fit_history[i], 1e-12)
-        << "iteration " << i;
-  }
+  EXPECT_EQ(dist.iterations, shared.iterations);
+  expect_same_bits(dist.fit_history, dist.model, shared.fit_history,
+                   shared.model);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Precisions, DistSingleLocale,
+    ::testing::Values(Precision::kF64, Precision::kMixed, Precision::kF32),
+    [](const ::testing::TestParamInfo<Precision>& info) {
+      return std::string(precision_name(info.param));
+    });
 
 class DistGridShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};

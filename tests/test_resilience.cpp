@@ -143,6 +143,59 @@ TEST(Checkpoint, DeserializeRejectsTruncation) {
   EXPECT_THROW(Checkpoint::deserialize(text), Error);
 }
 
+/// A version-2 checkpoint around \p payload with a valid FNV-1a checksum,
+/// so the parser, not the checksum, must reject a hostile field.
+std::string checksummed(const std::string& payload) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  return "sptd-checkpoint 2 cpals\nchecksum " + std::string(hex) + "\n" +
+         payload;
+}
+
+/// Payload of \p iteration_line, empty scalars, \p series_lines, and one
+/// factor of shape \p shape holding a single 1.0.
+std::string one_factor_payload(const std::string& iteration_line,
+                               const std::string& series_lines,
+                               const std::string& shape) {
+  const double one = 1.0;
+  return iteration_line + "\nrng 1 2 3 4\nscalars 0\n" + series_lines +
+         "factors 1\n" + shape + "\nbin 8\n" +
+         std::string(reinterpret_cast<const char*>(&one), sizeof(one)) +
+         "\naux_factors 0\n";
+}
+
+TEST(Checkpoint, HostileDeclaredSizesFailWithStructuredErrors) {
+  // The unmodified payload parses, so each rejection below comes from the
+  // one hostile field, not from the hand-built framing.
+  const Checkpoint ok = Checkpoint::deserialize(
+      checksummed(one_factor_payload("iteration 3", "series 0\n", "1 1")));
+  EXPECT_EQ(ok.iteration, 3);
+  ASSERT_EQ(ok.factors.size(), 1u);
+  EXPECT_EQ(ok.factors[0](0, 0), 1.0);
+
+  const struct {
+    const char* what;
+    std::string payload;
+  } hostile[] = {
+      {"series longer than the payload",
+       one_factor_payload(
+           "iteration 3", "series 1\nlambda 2305843009213693951\nbin 8\n",
+           "1 1")},
+      {"matrix larger than the payload",
+       one_factor_payload("iteration 3", "series 0\n",
+                          "4294967295 4294967295")},
+      {"rows 2^32 + 1, beyond idx_t",
+       one_factor_payload("iteration 3", "series 0\n", "4294967297 1")},
+      {"iteration 2^32 - 1, beyond int",
+       one_factor_payload("iteration 4294967295", "series 0\n", "1 1")},
+  };
+  for (const auto& h : hostile) {
+    SCOPED_TRACE(h.what);
+    EXPECT_THROW(Checkpoint::deserialize(checksummed(h.payload)), Error);
+  }
+}
+
 TEST(CheckpointManager, RotatesAndLoadsNewest) {
   ScratchDir dir("rotate");
   CheckpointManager mgr(dir.path(), "cpals", 1, /*keep=*/2);

@@ -188,6 +188,29 @@ echo "== dist smoke: shm transport matches sim bitwise =="
 cmp "$RES_DIR/dist_sim.model" "$RES_DIR/dist_shm.model"
 echo "ci: shm transport model is bitwise identical to sim"
 
+echo "== dist smoke: one ALS loop, a 1x1x1 grid reproduces cp_als bitwise =="
+# The distributed driver runs cp_als_csf's iteration core, so one locale
+# must write the model of a one-thread, fixed-iteration cp_als at every
+# precision (f32 included: both drivers round each factor through fp32).
+for P in f64 f32; do
+  "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 6 \
+    --tolerance 0 --threads 1 --precision "$P" \
+    --output "$RES_DIR/cpals_$P.model" > /dev/null
+  "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 6 \
+    --dist-grid 1,1,1 --precision "$P" \
+    --output "$RES_DIR/dist111_$P.model" > /dev/null
+  cmp "$RES_DIR/cpals_$P.model" "$RES_DIR/dist111_$P.model" \
+    || { echo "ci: --dist-grid 1,1,1 model differs from cp_als at $P" >&2
+         exit 1; }
+done
+# Flags the distributed driver cannot honour are refused, not ignored.
+if "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 2 \
+  --dist-grid 1,1,1 --nonneg > /dev/null 2>&1; then
+  echo "ci: --dist-grid silently accepted --nonneg" >&2
+  exit 1
+fi
+echo "ci: single-locale dist models equal cp_als; ignored flags refused"
+
 echo "== dist recovery smoke: SIGKILL a real rank, recover, bitwise =="
 # rank-kill:1@3 makes the rank-1 child SIGKILL itself mid-iteration; the
 # launcher must detect the death, roll every rank back to the newest

@@ -263,6 +263,15 @@ int cmd_cpd(int argc, const char* const* argv) {
   SparseTensor t = load(cli.positional().front());
 
   if (!cli.get_string("dist-grid").empty()) {
+    // The distributed driver runs a fixed iteration count on one thread
+    // per locale with the c implementation's two-mode CSF and no
+    // non-negativity; refuse these flags rather than ignore them.
+    for (const char* flag : {"tolerance", "threads", "impl", "csf", "nonneg"}) {
+      if (cli.given(flag)) {
+        throw Error(std::string("cpd: --") + flag +
+                    " does not apply with --dist-grid");
+      }
+    }
     DistOptions dopts;
     for (const int g : cli.get_int_list("dist-grid")) {
       SPTD_CHECK(g >= 1, "cpd: --dist-grid extents must be >= 1");
