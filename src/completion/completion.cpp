@@ -1,10 +1,8 @@
 #include "completion/completion.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -14,7 +12,7 @@
 #include "la/matrix.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/team.hpp"
-#include "resilience/context.hpp"
+#include "resilience/iteration.hpp"
 
 namespace sptd {
 
@@ -86,6 +84,100 @@ double rmse(const SparseTensor& observed, const KruskalModel& model,
   return std::sqrt(total / static_cast<double>(observed.nnz()));
 }
 
+namespace {
+
+/// The completion iterate: the model, both RMSE histories and the
+/// best-validation model tracked for the return value.
+struct CompletionState : KruskalModel {
+  std::vector<double> train_rmse;
+  std::vector<double> val_rmse;
+  std::vector<la::Matrix> best_factors;
+  double best_val = std::numeric_limits<double>::infinity();
+  int best_iteration = 0;
+};
+
+/// complete_tensor's IterationCore hooks (resilience/iteration.hpp): train
+/// RMSE as the loss, the best-validation bookkeeping and stop rule, and
+/// the solver's private state in checkpoints.
+struct CompletionDriver {
+  const SparseTensor& train;
+  const SparseTensor* validation;
+  const CompletionOptions& opts;
+  CompletionSolver& solver;
+
+  double loss(CompletionState& s, bool corrupted) {
+    if (corrupted) {
+      // Keep CCD++'s residual consistent with the (now corrupt) model, as
+      // a real soft error would: the health scan must still catch it.
+      solver.begin(s);
+    }
+    return rmse(train, s, opts.nthreads, opts.use_fixed_kernels);
+  }
+
+  bool accept(CompletionState& s, double train_err, int it) {
+    s.train_rmse.push_back(train_err);
+    if (validation == nullptr || validation->nnz() == 0) return false;
+    const double v =
+        rmse(*validation, s, opts.nthreads, opts.use_fixed_kernels);
+    s.val_rmse.push_back(v);
+    const double prev_best = s.best_val;
+    if (v < s.best_val) {
+      // Track the best-validation model (SPLATT's ws->best_model): the
+      // returned factors must come from the argmin iteration, not from
+      // whatever iteration the stopping rule happens to exit on.
+      s.best_val = v;
+      s.best_iteration = it + 1;
+      s.best_factors = s.factors;
+    }
+    // Stop once the validation error stops improving.
+    return opts.tolerance > 0.0 && it > 0 &&
+           v > prev_best - opts.tolerance;
+  }
+
+  /// Pure-f32 ablation endpoint: the factors carry only fp32 information
+  /// between epochs (RMSE bookkeeping stays fp64). Rounding moves the
+  /// model under CCD++'s incrementally maintained residual, so solver
+  /// state is rebuilt from the factors — after an epoch and after a
+  /// rollback alike.
+  void fixup(CompletionState& s) {
+    if (opts.precision == Precision::kF32) {
+      for (la::Matrix& factor : s.factors) {
+        la::round_through_f32(factor);
+      }
+    }
+    solver.begin(s);
+  }
+
+  void encode(const CompletionState& s, Checkpoint& ck) const {
+    ck.factors = s.factors;
+    ck.aux_factors = s.best_factors;
+    ck.set_series("train_rmse", s.train_rmse);
+    ck.set_series("val_rmse", s.val_rmse);
+    ck.set_scalar("best_val", s.best_val);
+    ck.set_scalar("best_iteration", s.best_iteration);
+    ck.set_series("solver_state", solver.serialize_state());
+  }
+
+  double decode(Checkpoint& ck, CompletionState& s) {
+    s.factors = std::move(ck.factors);
+    s.best_factors = std::move(ck.aux_factors);
+    const std::vector<double>* tr = ck.find_series("train_rmse");
+    s.train_rmse = tr != nullptr ? *tr : std::vector<double>{};
+    const std::vector<double>* vr = ck.find_series("val_rmse");
+    s.val_rmse = vr != nullptr ? *vr : std::vector<double>{};
+    s.best_val =
+        ck.scalar("best_val", std::numeric_limits<double>::infinity());
+    s.best_iteration = static_cast<int>(ck.scalar("best_iteration", 0.0));
+    solver.begin(s);
+    if (const std::vector<double>* st = ck.find_series("solver_state")) {
+      solver.restore_state(*st);
+    }
+    return detail::lowest_loss(s.train_rmse, /*fits=*/false);
+  }
+};
+
+}  // namespace
+
 CompletionResult complete_tensor(const SparseTensor& train,
                                  const SparseTensor* validation,
                                  const CompletionOptions& options) {
@@ -109,191 +201,57 @@ CompletionResult complete_tensor(const SparseTensor& train,
   set_parallel_backend(options.backend);
   init_parallel_runtime();
 
-  const int order = train.order();
-  const int nthreads = options.nthreads;
-
   // Per-mode slice views + schedules + solver state, built once (the
   // memory trade — one grouped copy per mode — is the same one SPLATT's
   // completion code makes).
   CompletionWorkspace workspace(train, options);
+  const std::unique_ptr<CompletionSolver> solver =
+      make_completion_solver(workspace);
+  CompletionDriver driver{train, validation, options, *solver};
 
-  CompletionResult result;
-  KruskalModel& model = result.model;
-  model.lambda.assign(options.rank, val_t{1});
+  detail::IterationCore<CompletionState> core(
+      options.resilience, "completion", options.seed,
+      options.max_iterations);
+  CompletionState& s = core.state();
+  s.lambda.assign(options.rank, val_t{1});
   Rng rng(options.seed);
-  for (int m = 0; m < order; ++m) {
+  for (int m = 0; m < train.order(); ++m) {
     // Small random init keeps early predictions near zero, which is the
     // right prior for sparse ratings-style data (and a stable starting
     // step for SGD). Identical across solvers so runs are comparable.
-    model.factors.push_back(
+    s.factors.push_back(
         la::Matrix::random(train.dim(m), options.rank, rng));
-    for (val_t& v : model.factors.back().values()) {
+    for (val_t& v : s.factors.back().values()) {
       v *= val_t{0.5};
     }
   }
-
-  ResilienceContext rctx(options.resilience, "completion", options.seed);
-  int it = 0;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::vector<la::Matrix> best_factors;
-  std::optional<Checkpoint> resume_ck = rctx.try_resume();
-  if (resume_ck) {
-    SPTD_CHECK(resume_ck->factors.size() == static_cast<std::size_t>(order),
-               "completion resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = resume_ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == train.dim(m) && f.cols() == options.rank,
-                 "completion resume: checkpoint factor shape mismatch");
-    }
-    model.factors = std::move(resume_ck->factors);
-    best_factors = std::move(resume_ck->aux_factors);
-    if (const std::vector<double>* tr = resume_ck->find_series("train_rmse")) {
-      result.train_rmse = *tr;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double r : *tr) best_loss = std::min(best_loss, r);
-      rctx.health().seed_trend(best_loss);
-    }
-    if (const std::vector<double>* vr = resume_ck->find_series("val_rmse")) {
-      result.val_rmse = *vr;
-    }
-    best_val = resume_ck->scalar("best_val",
-                                 std::numeric_limits<double>::infinity());
-    result.best_iteration =
-        static_cast<int>(resume_ck->scalar("best_iteration", 0.0));
-    it = resume_ck->iteration;
-    result.iterations = it;
+  if (!core.resume(driver)) {
+    core.start();
+    solver->begin(s);
   }
 
-  const std::unique_ptr<CompletionSolver> solver =
-      make_completion_solver(workspace);
-  solver->begin(model);
-  if (resume_ck) {
-    if (const std::vector<double>* st =
-            resume_ck->find_series("solver_state")) {
-      solver->restore_state(*st);
-    }
+  while (!core.done()) {
+    core.step(driver, [&](CompletionState& st, int it) {
+      core.resilience().counters().gram_bumps += solver->run_epoch(st, it);
+      if (options.precision == Precision::kF32) {
+        driver.fixup(st);
+      }
+    });
   }
 
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<double> train_rmse;
-    std::vector<double> val_rmse;
-    std::vector<la::Matrix> best_factors;
-    double best_val = std::numeric_limits<double>::infinity();
-    int best_iteration = 0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, result.train_rmse, result.val_rmse,
-            best_factors, best_val, result.best_iteration, it};
-  }
-
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
-    solver->run_epoch(model, it);
-    if (options.precision == Precision::kF32) {
-      // Pure-f32 ablation endpoint: the factors carry only fp32
-      // information between epochs (RMSE bookkeeping stays fp64). The
-      // rounding moves the model under CCD++'s incrementally maintained
-      // residual, so that solver's residual is rebuilt from the rounded
-      // factors before the next epoch.
-      for (la::Matrix& factor : model.factors) {
-        la::round_through_f32(factor);
-      }
-      if (options.algorithm == CompletionAlgorithm::kCcd) {
-        solver->begin(model);
-      }
-    }
-
-    if (FaultInjector* inj = rctx.injector()) {
-      if (inj->corrupt_factors(model.factors, it) > 0 &&
-          options.algorithm == CompletionAlgorithm::kCcd) {
-        // Keep the residual consistent with the (now corrupt) model, as a
-        // real soft error would: the health scan below must still catch it.
-        solver->begin(model);
-      }
-    }
-
-    const double train_err =
-        rmse(train, model, nthreads, options.use_fixed_kernels);
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, model.lambda, train_err);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        model.factors = good.factors;
-        result.train_rmse = good.train_rmse;
-        result.val_rmse = good.val_rmse;
-        best_factors = good.best_factors;
-        best_val = good.best_val;
-        result.best_iteration = good.best_iteration;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        if (options.precision == Precision::kF32) {
-          for (la::Matrix& factor : model.factors) {
-            la::round_through_f32(factor);
-          }
-        }
-        // Rebuild solver state (CCD++'s residual) from the restored model.
-        solver->begin(model);
-        continue;
-      }
-      rctx.note_healthy();
-    }
-
-    result.train_rmse.push_back(train_err);
-    result.iterations = it + 1;
-    if (validation != nullptr && validation->nnz() > 0) {
-      const double v =
-          rmse(*validation, model, nthreads, options.use_fixed_kernels);
-      result.val_rmse.push_back(v);
-      const double prev_best = best_val;
-      if (v < best_val) {
-        // Track the best-validation model (SPLATT's ws->best_model): the
-        // returned factors must come from the argmin iteration, not from
-        // whatever iteration the stopping rule happens to exit on.
-        best_val = v;
-        result.best_iteration = it + 1;
-        best_factors = model.factors;
-      }
-      if (options.tolerance > 0.0 && it > 0 &&
-          v > prev_best - options.tolerance) {
-        stopped = true;  // validation error stopped improving
-      }
-    }
-    ++it;
-
-    if (guard) {
-      good.factors = model.factors;
-      good.train_rmse = result.train_rmse;
-      good.val_rmse = result.val_rmse;
-      good.best_factors = best_factors;
-      good.best_val = best_val;
-      good.best_iteration = result.best_iteration;
-      good.iteration = it;
-    }
-
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.aux_factors = best_factors;
-      ck.set_series("train_rmse", result.train_rmse);
-      ck.set_series("val_rmse", result.val_rmse);
-      ck.set_scalar("best_val", best_val);
-      ck.set_scalar("best_iteration", result.best_iteration);
-      ck.set_series("solver_state", solver->serialize_state());
-      rctx.save_checkpoint(std::move(ck));
-    }
-  }
-  if (!best_factors.empty()) {
-    model.factors = std::move(best_factors);
+  CompletionResult result;
+  result.iterations = core.iteration();
+  result.train_rmse = std::move(s.train_rmse);
+  result.val_rmse = std::move(s.val_rmse);
+  result.model.lambda = std::move(s.lambda);
+  if (!s.best_factors.empty()) {
+    result.model.factors = std::move(s.best_factors);
+    result.best_iteration = s.best_iteration;
   } else {
+    result.model.factors = std::move(s.factors);
     result.best_iteration = result.iterations;
   }
-  rctx.finish(result.resilience);
+  core.resilience().finish(result.resilience);
   return result;
 }
 

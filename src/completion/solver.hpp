@@ -10,6 +10,7 @@
 /// completion) plug in here: implement run_epoch() over the workspace's
 /// slice views and register in make_completion_solver().
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -34,8 +35,9 @@ class CompletionSolver {
 
   /// One pass over the training data, updating \p model in place.
   /// \p epoch counts from 0 (SGD derives its decayed step size and its
-  /// per-epoch shuffle seeds from it).
-  virtual void run_epoch(KruskalModel& model, int epoch) = 0;
+  /// per-epoch shuffle seeds from it). Returns the Tikhonov bumps the
+  /// pass's normal-equation solves applied (ALS; 0 for the others).
+  virtual std::uint64_t run_epoch(KruskalModel& model, int epoch) = 0;
 
   /// Solver-private state that must ride a checkpoint for bitwise resume.
   /// ALS and SGD are stateless between epochs (SGD reshuffles per
@@ -46,6 +48,7 @@ class CompletionSolver {
   }
 
   /// Restores state captured by serialize_state(). Called after begin().
+  /// Throws sptd::Error when \p state cannot be this solver's.
   virtual void restore_state(const std::vector<double>& state) {
     (void)state;
   }

@@ -13,6 +13,7 @@
 /// loop could not.
 
 #include <algorithm>
+#include <atomic>
 
 #include "completion/solver.hpp"
 #include "la/cholesky.hpp"
@@ -32,7 +33,8 @@ void als_update_mode(CompletionWorkspace& ws, int mode,
                      const StoreT* SPTD_RESTRICT vals,
                      std::vector<la::Matrix>& factors,
                      std::vector<la::Matrix>& normals,
-                     std::vector<la::Matrix>& rhs) {
+                     std::vector<la::Matrix>& rhs,
+                     std::atomic<std::uint64_t>& bumps) {
   using Ops = kern::RowOps<W>;
   const ModeSlices& ms = ws.mode_slices(mode);
   const SparseTensor& t = ms.grouped;
@@ -48,6 +50,7 @@ void als_update_mode(CompletionWorkspace& ws, int mode,
     val_t* SPTD_RESTRICT b = scratch.row_ptr(1);
     la::Matrix& normal = normals[static_cast<std::size_t>(tid)];
     la::Matrix& solution = rhs[static_cast<std::size_t>(tid)];
+    std::uint64_t thread_bumps = 0;
 
     const auto update_row = [&](idx_t i) {
       const nnz_t lo = ms.slice_ptr[i];
@@ -83,7 +86,8 @@ void als_update_mode(CompletionWorkspace& ws, int mode,
         normal(r, r) += reg;
       }
       Ops::copy(solution.row_ptr(0), b, rank);
-      la::solve_normal_equations(normal, solution, 1);
+      thread_bumps += static_cast<std::uint64_t>(
+          la::solve_normal_equations(normal, solution, 1));
       Ops::copy(target.row_ptr(i), solution.row_ptr(0), rank);
     };
 
@@ -92,6 +96,7 @@ void als_update_mode(CompletionWorkspace& ws, int mode,
         update_row(static_cast<idx_t>(i));
       }
     });
+    bumps.fetch_add(thread_bumps, std::memory_order_relaxed);
   });
 }
 
@@ -109,21 +114,24 @@ class AlsSolver final : public CompletionSolver {
 
   [[nodiscard]] const char* name() const override { return "als"; }
 
-  void run_epoch(KruskalModel& model, int /*epoch*/) override {
+  std::uint64_t run_epoch(KruskalModel& model, int /*epoch*/) override {
+    std::atomic<std::uint64_t> bumps{0};
     const bool narrow = ws_.options().precision != Precision::kF64;
     for (int m = 0; m < ws_.order(); ++m) {
       const ModeSlices& ms = ws_.mode_slices(m);
       kern::dispatch_width(ws_.kernel_width(), [&](auto wc) {
         if (narrow) {
           als_update_mode<decltype(wc)::value>(
-              ws_, m, ms.vals_f32.data(), model.factors, normals_, rhs_);
+              ws_, m, ms.vals_f32.data(), model.factors, normals_, rhs_,
+              bumps);
         } else {
           als_update_mode<decltype(wc)::value>(
               ws_, m, ms.grouped.vals().data(), model.factors, normals_,
-              rhs_);
+              rhs_, bumps);
         }
       });
     }
+    return bumps.load();
   }
 
  private:

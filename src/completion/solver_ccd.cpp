@@ -103,13 +103,14 @@ class CcdSolver final : public CompletionSolver {
     }
   }
 
-  void run_epoch(KruskalModel& model, int /*epoch*/) override {
+  std::uint64_t run_epoch(KruskalModel& model, int /*epoch*/) override {
     const idx_t rank = ws_.options().rank;
     for (idx_t r = 0; r < rank; ++r) {
       for (int m = 0; m < ws_.order(); ++m) {
         column_pass(model, m, r);
       }
     }
+    return 0;
   }
 
  private:

@@ -17,6 +17,7 @@
 /// reproducible from the seed alone.
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -115,16 +116,43 @@ class SgdSolver final : public CompletionSolver {
     return std::vector<double>(ids.begin(), ids.end());
   }
 
+  /// The restored ids index the training nonzeros in run_epoch, so each
+  /// must be an integer below nnz, appear once, and sit in the cell
+  /// segment that holds it now (epochs shuffle within cells, never across
+  /// them) — anything else is a foreign or hostile checkpoint.
   void restore_state(const std::vector<double>& state) override {
-    std::vector<nnz_t>& ids = ws_.strata().cell_ids;
+    StratumGrid& grid = ws_.strata();
+    std::vector<nnz_t>& ids = grid.cell_ids;
     SPTD_CHECK(state.size() == ids.size(),
                "sgd restore_state: permutation length mismatch");
-    for (std::size_t i = 0; i < state.size(); ++i) {
+    const nnz_t nnz = ids.size();
+    std::vector<nnz_t> cell_of(nnz);
+    for (nnz_t c = 0; c < grid.cells(); ++c) {
+      for (nnz_t i = grid.cell_ptr[c]; i < grid.cell_ptr[c + 1]; ++i) {
+        cell_of[ids[i]] = c;
+      }
+    }
+    std::vector<bool> seen(nnz, false);
+    for (nnz_t c = 0; c < grid.cells(); ++c) {
+      for (nnz_t i = grid.cell_ptr[c]; i < grid.cell_ptr[c + 1]; ++i) {
+        const double v = state[i];
+        SPTD_CHECK(v >= 0.0 && v < static_cast<double>(nnz) &&
+                       v == std::floor(v),
+                   "sgd restore_state: permutation entry is not a "
+                   "nonzero id");
+        const auto id = static_cast<nnz_t>(v);
+        SPTD_CHECK(!seen[id], "sgd restore_state: repeated nonzero id");
+        SPTD_CHECK(cell_of[id] == c,
+                   "sgd restore_state: nonzero id outside its cell");
+        seen[id] = true;
+      }
+    }
+    for (nnz_t i = 0; i < nnz; ++i) {
       ids[i] = static_cast<nnz_t>(state[i]);
     }
   }
 
-  void run_epoch(KruskalModel& model, int epoch) override {
+  std::uint64_t run_epoch(KruskalModel& model, int epoch) override {
     const CompletionOptions& opts = ws_.options();
     const SparseTensor& t = ws_.train();
     StratumGrid& grid = ws_.strata();
@@ -190,6 +218,7 @@ class SgdSolver final : public CompletionSolver {
         });
       });
     }
+    return 0;
   }
 
  private:

@@ -1,9 +1,6 @@
 #include "cpd/als_loop.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -98,7 +95,8 @@ CpalsLoop::CpalsLoop(const CpalsOptions& options, const dims_t& dims,
     : opts_(options),
       dims_(dims),
       tensor_norm_sq_(tensor_norm_sq),
-      rctx_(options.resilience, kind.c_str(), options.seed),
+      core_(options.resilience, kind.c_str(), options.seed,
+            options.max_iterations),
       v_(options.rank, options.rank),
       fit_partials_(options.nthreads, static_cast<nnz_t>(options.rank)) {
   spare_.reserve(dims_.size());
@@ -111,76 +109,45 @@ CpalsLoop::CpalsLoop(const CpalsOptions& options, const dims_t& dims,
 }
 
 void CpalsLoop::reset() {
+  CpalsState& s = core_.state();
   Rng rng(opts_.seed);
-  model_.lambda.assign(opts_.rank, val_t{1});
-  model_.factors.clear();
-  model_.factors.reserve(dims_.size());
+  s.lambda.assign(opts_.rank, val_t{1});
+  s.factors.clear();
+  s.factors.reserve(dims_.size());
   for (const idx_t dim : dims_) {
-    model_.factors.push_back(la::Matrix::random(dim, opts_.rank, rng));
+    s.factors.push_back(la::Matrix::random(dim, opts_.rank, rng));
   }
-  fit_history_.clear();
-  prev_fit_ = 0.0;
-  it_ = 0;
-  stopped_ = false;
-  rctx_.health().reset();
+  s.fit_history.clear();
+  s.prev_fit = 0.0;
   grams_stale_ = true;
-  snapshot_good();
+  core_.start();
 }
 
-void CpalsLoop::restore(Checkpoint&& ck) {
-  decode_model(ck, dims_, opts_.rank, model_, fit_history_);
-  prev_fit_ = ck.scalar("prev_fit", 0.0);
-  it_ = ck.iteration;
-  stopped_ = false;
-  rctx_.recovery_rng().set_state(ck.rng_state);
-  rctx_.counters().resumed_from = it_;
-  // The loss trend comes from the restored history alone: survivors of a
-  // distributed recovery (stale pre-crash trend) and a respawned rank must
-  // make identical rollback decisions in replay, or the collectives
-  // desynchronize.
-  rctx_.health().reset();
-  if (!fit_history_.empty()) {
-    double best_loss = std::numeric_limits<double>::infinity();
-    for (const double f : fit_history_) {
-      best_loss = std::min(best_loss, 1.0 - f);
-    }
-    rctx_.health().seed_trend(best_loss);
-  }
+void CpalsLoop::encode(const CpalsState& s, Checkpoint& ck) const {
+  encode_model(s, s.fit_history, ck);
+  ck.set_scalar("prev_fit", s.prev_fit);
+}
+
+double CpalsLoop::decode(Checkpoint& ck, CpalsState& s) {
+  decode_model(ck, dims_, opts_.rank, s, s.fit_history);
+  s.prev_fit = ck.scalar("prev_fit", 0.0);
   // Grams are recomputed, not serialized: la::ata is deterministic, so a
   // restored run rebuilds the uninterrupted run's Grams bitwise.
   grams_stale_ = true;
-  snapshot_good();
+  return lowest_loss(s.fit_history, /*fits=*/true);
 }
 
-void CpalsLoop::resume() {
-  if (std::optional<Checkpoint> ck = rctx_.try_resume()) {
-    restore(std::move(*ck));
-  }
-}
-
-void CpalsLoop::refresh_grams() {
+void CpalsLoop::refresh_grams(const CpalsState& s) {
   timers_.start(Routine::kMatAtA);
   for (std::size_t m = 0; m < grams_.size(); ++m) {
-    la::ata(model_.factors[m], grams_[m], opts_.nthreads);
+    la::ata(s.factors[m], grams_[m], opts_.nthreads);
   }
   timers_.stop(Routine::kMatAtA);
   grams_stale_ = false;
 }
 
-void CpalsLoop::snapshot_good() {
-  // One model copy per iteration, O(sum dims · R) — noise next to the
-  // MTTKRP — and only while guards are on. Member-wise assignment reuses
-  // the previous snapshot's buffers instead of holding a third model copy.
-  if (rctx_.health().enabled()) {
-    good_.factors = model_.factors;
-    good_.lambda = model_.lambda;
-    good_.fit_history = fit_history_;
-    good_.prev_fit = prev_fit_;
-    good_.iteration = it_;
-  }
-}
-
-void CpalsLoop::update_factor(int mode, la::Matrix& out) {
+void CpalsLoop::update_factor(CpalsState& s, int it, int mode,
+                              la::Matrix& out) {
   const int nthreads = opts_.nthreads;
 
   // The fit consumes the final mode's MTTKRP result; keep a copy before
@@ -199,7 +166,8 @@ void CpalsLoop::update_factor(int mode, la::Matrix& out) {
 
   // A(m) = M V^{-1}  (Moore–Penrose via Cholesky; lines 5/8/11).
   timers_.start(Routine::kInverse);
-  la::solve_normal_equations(v_, out, nthreads);
+  core_.resilience().counters().gram_bumps +=
+      la::solve_normal_equations(v_, out, nthreads);
   timers_.stop(Routine::kInverse);
 
   if (opts_.nonnegative) {
@@ -214,14 +182,14 @@ void CpalsLoop::update_factor(int mode, la::Matrix& out) {
       }
     });
   }
-  la::Matrix& factor = model_.factors[static_cast<std::size_t>(mode)];
+  la::Matrix& factor = s.factors[static_cast<std::size_t>(mode)];
   std::swap(factor, out);
 
   // Column normalization (lines 6/9/12): 2-norm first iteration,
   // max-norm afterwards (SPLATT's scheme).
   timers_.start(Routine::kMatNorm);
-  la::normalize_columns(factor, model_.lambda,
-                        it_ == 0 ? la::MatNorm::kTwo : la::MatNorm::kMax,
+  la::normalize_columns(factor, s.lambda,
+                        it == 0 ? la::MatNorm::kTwo : la::MatNorm::kMax,
                         nthreads);
   timers_.stop(Routine::kMatNorm);
 
@@ -239,76 +207,39 @@ void CpalsLoop::update_factor(int mode, la::Matrix& out) {
   timers_.stop(Routine::kMatAtA);
 }
 
-void CpalsLoop::finish_iteration() {
-  // Fault injection lands between the factor updates and the health
-  // scan, exactly where a soft error would corrupt an iterate.
-  if (FaultInjector* inj = rctx_.injector()) {
-    inj->corrupt_factors(model_.factors, it_);
-  }
-
+double CpalsLoop::loss(CpalsState& s, bool /*corrupted*/) {
+  if (!opts_.compute_fit) return HealthMonitor::kNoLoss;
   // Fit (line 13): 1 - ||X - Z||_F / ||X||_F via the sparse identity.
-  double fit = 0.0;
-  double loss = HealthMonitor::kNoLoss;
-  if (opts_.compute_fit) {
-    timers_.start(Routine::kFit);
-    const val_t inner = fit_inner_product(
-        fit_m_, model_.factors.back(), model_.lambda, opts_.nthreads,
-        fit_partials_);
-    const val_t norm_z = model_norm_sq(grams_, model_.lambda);
-    val_t residual_sq = tensor_norm_sq_ + norm_z - 2 * inner;
-    if (residual_sq < val_t{0}) residual_sq = 0;
-    fit = (tensor_norm_sq_ > val_t{0})
-              ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                          std::sqrt(static_cast<double>(tensor_norm_sq_))
-              : 0.0;
-    timers_.stop(Routine::kFit);
-    loss = 1.0 - fit;
-  }
+  timers_.start(Routine::kFit);
+  const val_t inner = fit_inner_product(fit_m_, s.factors.back(), s.lambda,
+                                        opts_.nthreads, fit_partials_);
+  const val_t norm_z = model_norm_sq(grams_, s.lambda);
+  val_t residual_sq = tensor_norm_sq_ + norm_z - 2 * inner;
+  if (residual_sq < val_t{0}) residual_sq = 0;
+  fit_ = (tensor_norm_sq_ > val_t{0})
+             ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
+                         std::sqrt(static_cast<double>(tensor_norm_sq_))
+             : 0.0;
+  timers_.stop(Routine::kFit);
+  return 1.0 - fit_;
+}
 
-  if (rctx_.health().enabled()) {
-    const HealthIssue issue =
-        rctx_.health().inspect(model_.factors, model_.lambda, loss);
-    if (issue != HealthIssue::kNone) {
-      rctx_.fail_or_retry(issue, it_);  // throws when retries are exhausted
-      // Rollback-and-perturb: restore the last healthy state and jitter
-      // it off the failing trajectory; the next step rebuilds the Grams.
-      model_.factors = good_.factors;
-      model_.lambda = good_.lambda;
-      fit_history_ = good_.fit_history;
-      prev_fit_ = good_.prev_fit;
-      it_ = good_.iteration;
-      perturb_factors(model_.factors, rctx_.recovery_rng());
-      if (opts_.precision == Precision::kF32) {
-        for (la::Matrix& f : model_.factors) {
-          la::round_through_f32(f);
-        }
-      }
-      grams_stale_ = true;
-      return;
+bool CpalsLoop::accept(CpalsState& s, double /*loss*/, int it) {
+  if (!opts_.compute_fit) return false;
+  s.fit_history.push_back(fit_);
+  const bool stop = opts_.tolerance > 0.0 && it > 0 &&
+                    std::abs(fit_ - s.prev_fit) < opts_.tolerance;
+  s.prev_fit = fit_;
+  return stop;
+}
+
+void CpalsLoop::fixup(CpalsState& s) {
+  if (opts_.precision == Precision::kF32) {
+    for (la::Matrix& f : s.factors) {
+      la::round_through_f32(f);
     }
-    rctx_.note_healthy();
   }
-
-  if (opts_.compute_fit) {
-    fit_history_.push_back(fit);
-    if (opts_.tolerance > 0.0 && it_ > 0 &&
-        std::abs(fit - prev_fit_) < opts_.tolerance) {
-      stopped_ = true;
-    }
-    prev_fit_ = fit;
-  }
-  ++it_;
-  snapshot_good();
-
-  // Mid-run snapshots only: a run that is about to return rebuilds
-  // nothing on resume, and the final model is the caller's to persist.
-  if (!done() && rctx_.checkpoint_due(it_)) {
-    Checkpoint ck;
-    ck.iteration = it_;
-    encode_model(model_, fit_history_, ck);
-    ck.set_scalar("prev_fit", prev_fit_);
-    rctx_.save_checkpoint(std::move(ck));
-  }
+  grams_stale_ = true;  // the next step rebuilds the Grams
 }
 
 }  // namespace sptd::detail

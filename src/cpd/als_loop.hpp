@@ -6,8 +6,9 @@
 /// driver (dist/dist_cpals.cpp) runs it with one thread, assembling each
 /// MTTKRP from locale partials through a transport all-reduce. Everything
 /// after the MTTKRP — solve, clamp, normalize, f32 rounding, Grams, the
-/// fit, health rollback, checkpoints — exists once, here, so a 1x1x1 grid
-/// reproduces cp_als bitwise at every precision.
+/// fit — exists once, here, so a 1x1x1 grid reproduces cp_als bitwise at
+/// every precision. Health rollback and checkpoints are the shared
+/// iteration core's (resilience/iteration.hpp).
 
 #include <string>
 #include <utility>
@@ -15,7 +16,7 @@
 
 #include "common/timer.hpp"
 #include "cpd/cpals.hpp"
-#include "resilience/context.hpp"
+#include "resilience/iteration.hpp"
 
 namespace sptd::detail {
 
@@ -31,8 +32,16 @@ void encode_model(const KruskalModel& model,
 void decode_model(Checkpoint& ck, const dims_t& dims, idx_t rank,
                   KruskalModel& model, std::vector<double>& fit_history);
 
-/// Owns the ALS state (model, Grams, fit history, ResilienceContext) and
-/// advances it one iteration per step(). The caller supplies the MTTKRP.
+/// The ALS iterate: model, fit history and the fit the tolerance rule
+/// compares against.
+struct CpalsState : KruskalModel {
+  std::vector<double> fit_history;
+  double prev_fit = 0.0;
+};
+
+/// Owns the ALS iteration (Grams, scratch, and the resilient iteration
+/// core holding the iterate) and advances it one iteration per step().
+/// The caller supplies the MTTKRP.
 class CpalsLoop {
  public:
   /// Starts from the seeded initialization (see reset()). \p kind names
@@ -44,56 +53,56 @@ class CpalsLoop {
   /// iteration 0.
   void reset();
   /// Adopts a snapshot: model, history, prev_fit, iteration and the
-  /// recovery RNG; the loss trend is rebuilt from the restored history.
-  void restore(Checkpoint&& ck);
+  /// recovery RNG.
+  void restore(Checkpoint&& ck) { core_.restore(std::move(ck), *this); }
   /// Restores the newest checkpoint when --resume is set (a no-op on a
   /// fresh start).
-  void resume();
+  void resume() { core_.resume(*this); }
 
-  [[nodiscard]] bool done() const {
-    return stopped_ || it_ >= opts_.max_iterations;
-  }
-  [[nodiscard]] int iteration() const { return it_; }
+  [[nodiscard]] bool done() const { return core_.done(); }
+  [[nodiscard]] int iteration() const { return core_.iteration(); }
 
   /// One ALS iteration. \p mttkrp(factors, mode, out) overwrites \p out
   /// (shape dims[mode] x rank, zero padding lanes) with the mode's MTTKRP.
   /// A health failure rolls back instead of advancing iteration().
   template <class Mttkrp>
   void step(Mttkrp&& mttkrp) {
-    if (grams_stale_) refresh_grams();
-    for (int m = 0; m < order(); ++m) {
-      la::Matrix& out = spare_[static_cast<std::size_t>(m)];
-      timers_.start(Routine::kMttkrp);
-      mttkrp(std::as_const(model_.factors), m, out);
-      timers_.stop(Routine::kMttkrp);
-      update_factor(m, out);
-    }
-    finish_iteration();
+    core_.step(*this, [&](CpalsState& s, int it) {
+      if (grams_stale_) refresh_grams(s);
+      for (int m = 0; m < order(); ++m) {
+        la::Matrix& out = spare_[static_cast<std::size_t>(m)];
+        timers_.start(Routine::kMttkrp);
+        mttkrp(std::as_const(s.factors), m, out);
+        timers_.stop(Routine::kMttkrp);
+        update_factor(s, it, m, out);
+      }
+    });
   }
 
-  KruskalModel& model() { return model_; }
-  std::vector<double>& fit_history() { return fit_history_; }
+  KruskalModel& model() { return core_.state(); }
+  std::vector<double>& fit_history() { return core_.state().fit_history; }
   RoutineTimers& timers() { return timers_; }
-  ResilienceContext& resilience() { return rctx_; }
+  ResilienceContext& resilience() { return core_.resilience(); }
 
  private:
+  friend class IterationCore<CpalsState>;
+
   [[nodiscard]] int order() const { return static_cast<int>(dims_.size()); }
-  void refresh_grams();
-  void snapshot_good();
-  void update_factor(int mode, la::Matrix& out);
-  void finish_iteration();
+  void refresh_grams(const CpalsState& s);
+  void update_factor(CpalsState& s, int it, int mode, la::Matrix& out);
+
+  // IterationCore hooks (resilience/iteration.hpp).
+  double loss(CpalsState& s, bool corrupted);
+  bool accept(CpalsState& s, double loss, int it);
+  void fixup(CpalsState& s);
+  void encode(const CpalsState& s, Checkpoint& ck) const;
+  double decode(Checkpoint& ck, CpalsState& s);
 
   CpalsOptions opts_;
   dims_t dims_;
   val_t tensor_norm_sq_;
-  ResilienceContext rctx_;
+  IterationCore<CpalsState> core_;
   RoutineTimers timers_;
-
-  KruskalModel model_;
-  std::vector<double> fit_history_;
-  double prev_fit_ = 0.0;
-  int it_ = 0;
-  bool stopped_ = false;
 
   /// Per-mode MTTKRP output; after the solve it swaps with the factor,
   /// so each sweep reuses the buffers of the factors it replaces.
@@ -103,16 +112,7 @@ class CpalsLoop {
   la::Matrix v_;                   ///< Hadamard of the other modes' Grams
   la::Matrix fit_m_;               ///< last mode's MTTKRP, kept for the fit
   PrivateBuffers fit_partials_;    ///< per-thread fit scratch
-
-  /// Last state that passed the health scan, for rollback-and-perturb;
-  /// kept only while guards are on.
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<val_t> lambda;
-    std::vector<double> fit_history;
-    double prev_fit = 0.0;
-    int iteration = 0;
-  } good_;
+  double fit_ = 0.0;               ///< the swept iterate's fit
 };
 
 }  // namespace sptd::detail

@@ -80,7 +80,7 @@ void potrs(const Matrix& chol, Matrix& b, int nthreads) {
   });
 }
 
-void solve_normal_equations(Matrix v, Matrix& m, int nthreads) {
+int solve_normal_equations(Matrix v, Matrix& m, int nthreads) {
   SPTD_CHECK(v.rows() == v.cols(), "solve_normal_equations: V not square");
   SPTD_CHECK(m.cols() == v.rows(), "solve_normal_equations: width mismatch");
 
@@ -98,7 +98,7 @@ void solve_normal_equations(Matrix v, Matrix& m, int nthreads) {
   for (int tries = 0; tries < 40; ++tries) {
     if (potrf(attempt)) {
       potrs(attempt, m, nthreads);
-      return;
+      return tries;
     }
     // Not SPD: add eps·scale·I and retry with growing eps.
     g_tikhonov_bumps.fetch_add(1, std::memory_order_relaxed);

@@ -30,14 +30,15 @@ void potrs(const Matrix& chol, Matrix& b, int nthreads);
 
 /// The paper's "Inverse" routine: solves M ← M V^{-1} through Cholesky,
 /// retrying with progressively larger diagonal regularization if V is not
-/// SPD. \p v is consumed (overwritten by its factor).
-void solve_normal_equations(Matrix v, Matrix& m, int nthreads);
+/// SPD. \p v is consumed (overwritten by its factor). Returns the number
+/// of Tikhonov diagonal bumps applied (0 when V was SPD), which drivers
+/// add to their own run's ResilienceCounters::gram_bumps.
+int solve_normal_equations(Matrix v, Matrix& m, int nthreads);
 
 /// Process-wide count of Tikhonov diagonal bumps applied by
-/// solve_normal_equations when a Gram product was not SPD. The resilience
-/// layer samples this before/after a run to surface "the normal equations
-/// went singular and were regularized" in results and bench records
-/// (mirrors mttkrp's work_steal_count()).
+/// solve_normal_equations when a Gram product was not SPD, summed over
+/// every run in the process (mirrors mttkrp's work_steal_count()). A
+/// run's own count is ResilienceCounters::gram_bumps.
 std::uint64_t tikhonov_bump_count();
 
 }  // namespace sptd::la

@@ -1,7 +1,6 @@
 #include "resilience/context.hpp"
 
 #include "common/log.hpp"
-#include "la/cholesky.hpp"
 
 namespace sptd {
 
@@ -19,8 +18,7 @@ ResilienceContext::ResilienceContext(const ResilienceOptions& opts,
       kind_(kind),
       manager_(opts.checkpoint_dir, kind, opts.checkpoint_every),
       health_(opts.health_checks, opts.divergence_patience),
-      recovery_rng_(seed ^ kRecoverySalt),
-      bumps_at_start_(la::tikhonov_bump_count()) {
+      recovery_rng_(seed ^ kRecoverySalt) {
   if (!opts.inject.empty()) {
     const FaultPlan plan = FaultPlan::parse(opts.inject);
     if (!plan.empty()) {
@@ -40,8 +38,6 @@ std::optional<Checkpoint> ResilienceContext::try_resume() {
              opts_.checkpoint_dir + ", starting fresh");
     return std::nullopt;
   }
-  counters_.resumed_from = ck->iteration;
-  recovery_rng_.set_state(ck->rng_state);
   log_info("resilience: resuming " + kind_ + " from iteration " +
            std::to_string(ck->iteration));
   return ck;
@@ -74,7 +70,6 @@ void ResilienceContext::finish(ResilienceCounters& out) {
   if (injector_) {
     counters_.faults_injected = injector_->faults_injected();
   }
-  counters_.gram_bumps = la::tikhonov_bump_count() - bumps_at_start_;
   out = counters_;
 }
 

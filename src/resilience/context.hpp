@@ -3,23 +3,10 @@
 /// \brief ResilienceContext — the one object an iterative driver wires in.
 ///
 /// Bundles the checkpoint manager, health monitor, fault injector, recovery
-/// RNG, and counters behind a small surface:
-///
-///   ResilienceContext ctx(options.resilience, "cpals", options.seed);
-///   if (auto ck = ctx.try_resume()) { ...restore state... }
-///   while (it < max_iterations) {
-///     ...iteration...
-///     if (ctx.injector()) ctx.injector()->corrupt_factors(...);
-///     HealthIssue issue = ctx.health().inspect(...);
-///     if (issue != HealthIssue::kNone) {
-///       ctx.fail_or_retry(issue, it);     // throws when budget exhausted
-///       ...restore last good state, perturb, rewind it...
-///       continue;
-///     }
-///     ctx.note_healthy();
-///     if (ctx.checkpoint_due(it + 1)) ctx.save_checkpoint(...);
-///   }
-///   ctx.finish(result.resilience);
+/// RNG, and counters. Drivers do not sequence these calls themselves: the
+/// resilient iteration core (resilience/iteration.hpp) runs the whole
+/// resume → inject → inspect → rollback → checkpoint protocol for every
+/// iterative driver, and this object is its state.
 ///
 /// The retry budget is per incident: consecutive failed recoveries count
 /// against --max-retries, and one healthy iteration resets the streak.
@@ -42,13 +29,12 @@ class ResilienceContext {
   ResilienceContext(const ResilienceOptions& opts, const char* kind,
                     std::uint64_t seed);
 
-  /// Loads the newest valid checkpoint when --resume is set; records
-  /// counters.resumed_from and restores the recovery RNG. Returns nullopt
-  /// on a fresh start (resume with an empty dir is a fresh start, not an
-  /// error, so "always pass --resume" is a safe operational habit).
+  /// Loads the newest valid checkpoint when --resume is set (adopting it,
+  /// recovery RNG included, is IterationCore::restore's job). Returns
+  /// nullopt on a fresh start (resume with an empty dir is a fresh start,
+  /// not an error, so "always pass --resume" is a safe operational habit).
   std::optional<Checkpoint> try_resume();
 
-  [[nodiscard]] bool checkpointing() const { return manager_.enabled(); }
   [[nodiscard]] bool checkpoint_due(int completed) const {
     return manager_.due(completed);
   }
@@ -66,7 +52,7 @@ class ResilienceContext {
   /// Marks an iteration that passed inspection; resets the retry streak.
   void note_healthy();
 
-  /// Samples the Tikhonov bump delta and copies counters into \p out.
+  /// Samples the injector's fault count and copies counters into \p out.
   void finish(ResilienceCounters& out);
 
   HealthMonitor& health() { return health_; }
@@ -75,7 +61,6 @@ class ResilienceContext {
   }
   Rng& recovery_rng() { return recovery_rng_; }
   ResilienceCounters& counters() { return counters_; }
-  const ResilienceOptions& options() const { return opts_; }
 
  private:
   ResilienceOptions opts_;
@@ -86,7 +71,6 @@ class ResilienceContext {
   Rng recovery_rng_;
   ResilienceCounters counters_;
   int consecutive_retries_ = 0;
-  std::uint64_t bumps_at_start_ = 0;
 };
 
 }  // namespace sptd

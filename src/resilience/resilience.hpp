@@ -62,8 +62,9 @@ struct ResilienceCounters {
   /// Individual faults the injector fired (entries NaN'd, writes failed,
   /// locales killed).
   std::uint64_t faults_injected = 0;
-  /// Tikhonov diagonal bumps the normal-equation solver applied during the
-  /// run (delta of la::tikhonov_bump_count()).
+  /// Tikhonov diagonal bumps the normal-equation solver applied in this
+  /// run's own solves (summed from la::solve_normal_equations' return, so
+  /// concurrent runs never count each other's).
   std::uint64_t gram_bumps = 0;
   /// Simulated locales rebuilt after an injected kill (dist only).
   int locale_restarts = 0;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -14,7 +12,7 @@
 #include "parallel/locks.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/team.hpp"
-#include "resilience/context.hpp"
+#include "resilience/iteration.hpp"
 
 namespace sptd {
 
@@ -367,6 +365,70 @@ void matmul_rows_parallel(const la::Matrix& a, const la::Matrix& b,
   });
 }
 
+/// The HOOI iterate: orthonormal factors, the fit history and the fit
+/// the tolerance rule compares against.
+struct HooiState {
+  std::vector<la::Matrix> factors;
+  std::vector<val_t> lambda;  ///< empty: a Tucker model has no weights
+  std::vector<double> fit_history;
+  double prev_fit = 0.0;
+};
+
+/// tucker_hooi's IterationCore hooks (resilience/iteration.hpp): the
+/// projection-identity fit and the checkpoint codec.
+struct HooiDriver {
+  const TuckerOptions& opts;
+  val_t norm_x;
+  val_t core_norm_sq = 0;  ///< projected core norm of the last sweep
+  double fit = 0.0;
+
+  double loss(HooiState& /*s*/, bool /*corrupted*/) {
+    // Fit from the projection identity: ||X - X̂||² = ||X||² - ||G||².
+    val_t residual_sq = norm_x - core_norm_sq;
+    if (residual_sq < val_t{0}) residual_sq = 0;
+    fit = 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
+                    std::sqrt(static_cast<double>(norm_x));
+    return 1.0 - fit;
+  }
+
+  bool accept(HooiState& s, double /*loss*/, int it) {
+    s.fit_history.push_back(fit);
+    const bool stop = opts.tolerance > 0.0 && it > 0 &&
+                      std::abs(fit - s.prev_fit) < opts.tolerance;
+    s.prev_fit = fit;
+    return stop;
+  }
+
+  void fixup(HooiState& s) const {
+    // Jitter breaks column orthonormality, which HOOI's projection
+    // identity depends on — restore it before re-entering the sweep.
+    for (la::Matrix& f : s.factors) {
+      orthonormalize_columns(f);
+      if (opts.precision == Precision::kF32) {
+        la::round_through_f32(f);
+      }
+    }
+  }
+
+  void encode(const HooiState& s, Checkpoint& ck) const {
+    ck.factors = s.factors;
+    ck.set_series("fit_history", s.fit_history);
+    ck.set_scalar("prev_fit", s.prev_fit);
+  }
+
+  double decode(Checkpoint& ck, HooiState& s) const {
+    // The core comes from the final mode's TTMc of the last iteration, so
+    // a resumed run must execute at least one sweep to regenerate it.
+    SPTD_CHECK(ck.iteration < opts.max_iterations,
+               "tucker resume: checkpoint already at max_iterations");
+    s.factors = std::move(ck.factors);
+    const std::vector<double>* fh = ck.find_series("fit_history");
+    s.fit_history = fh != nullptr ? *fh : std::vector<double>{};
+    s.prev_fit = ck.scalar("prev_fit", 0.0);
+    return detail::lowest_loss(s.fit_history, /*fits=*/true);
+  }
+};
+
 }  // namespace
 
 TuckerResult tucker_hooi(const SparseTensor& x,
@@ -385,7 +447,7 @@ TuckerResult tucker_hooi(const SparseTensor& x,
   init_parallel_runtime();
 
   const int nthreads = options.nthreads;
-  const val_t norm_x = x.norm_sq();
+  HooiDriver hooi{options, x.norm_sq()};
 
   // All-mode CSF set: every mode's TTMc runs as a root kernel with
   // prefix sharing (SPLATT's Tucker formulation). The per-mode slice
@@ -409,179 +471,87 @@ TuckerResult tucker_hooi(const SparseTensor& x,
     }
   }
 
-  TuckerResult result;
-  TuckerModel& model = result.model;
-  model.core_dims = options.core_dims;
+  detail::IterationCore<HooiState> core(options.resilience, "tucker",
+                                        options.seed,
+                                        options.max_iterations);
+  HooiState& s = core.state();
   Rng rng(options.seed);
   for (int m = 0; m < order; ++m) {
-    model.factors.push_back(la::Matrix::random(
+    s.factors.push_back(la::Matrix::random(
         x.dim(m), options.core_dims[static_cast<std::size_t>(m)], rng));
-    orthonormalize_columns(model.factors.back());
+    orthonormalize_columns(s.factors.back());
   }
-
-  ResilienceContext rctx(options.resilience, "tucker", options.seed);
-  int it = 0;
-  double prev_fit = 0.0;
-  if (std::optional<Checkpoint> ck = rctx.try_resume()) {
-    SPTD_CHECK(ck->factors.size() == static_cast<std::size_t>(order),
-               "tucker resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == x.dim(m) &&
-                     f.cols() ==
-                         options.core_dims[static_cast<std::size_t>(m)],
-                 "tucker resume: checkpoint factor shape mismatch");
-    }
-    // The core comes from the final mode's TTMc of the last iteration, so
-    // a resumed run must execute at least one sweep to regenerate it.
-    SPTD_CHECK(ck->iteration < options.max_iterations,
-               "tucker resume: checkpoint already at max_iterations");
-    model.factors = std::move(ck->factors);
-    if (const std::vector<double>* fh = ck->find_series("fit_history")) {
-      result.fit_history = *fh;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double f : *fh) {
-        best_loss = std::min(best_loss, 1.0 - f);
-      }
-      rctx.health().seed_trend(best_loss);
-    }
-    prev_fit = ck->scalar("prev_fit", 0.0);
-    it = ck->iteration;
-    result.iterations = it;
+  if (!core.resume(hooi)) {
+    core.start();
   }
 
   la::Matrix last_w;  // final mode's TTMc output, reused for the core
-  static const std::vector<val_t> kNoLambda;
-
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<double> fit_history;
-    double prev_fit = 0.0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, result.fit_history, prev_fit, it};
-  }
-
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
-    val_t core_norm_sq = 0;
-    for (int m = 0; m < order; ++m) {
-      const idx_t rm = options.core_dims[static_cast<std::size_t>(m)];
-      std::size_t k = 1;
-      for (int n = 0; n < order; ++n) {
-        if (n != m) {
-          k *= options.core_dims[static_cast<std::size_t>(n)];
-        }
-      }
-      la::Matrix w(x.dim(m), static_cast<idx_t>(k));
-      if (csf_set) {
-        int level = 0;
-        const CsfTensor& rep = csf_set->csf_for_mode(m, level);
-        SPTD_DCHECK(level == 0, "AllMode set must dispatch a root rep");
-        ttmc_csf(rep, model.factors, w, nthreads,
-                 &ttmc_schedules[static_cast<std::size_t>(m)],
-                 options.precision);
-      } else {
-        ttmc(x, model.factors, m, w, nthreads);
-      }
-
-      // Leading r_m left singular vectors of W via the K x K Gram.
-      la::Matrix gram(static_cast<idx_t>(k), static_cast<idx_t>(k));
-      la::ata(w, gram, nthreads);
-      std::vector<val_t> evals(k);
-      la::Matrix evecs(static_cast<idx_t>(k), static_cast<idx_t>(k));
-      la::symmetric_eigen(gram, evals, evecs);
-
-      // U(m) = W * V_top * diag(1/sigma); sum of top eigenvalues is the
-      // projected core norm for this mode's update.
-      la::Matrix v_top(static_cast<idx_t>(k), rm);
-      core_norm_sq = 0;
-      for (idx_t j = 0; j < rm; ++j) {
-        const val_t ev = std::max(evals[j], val_t{0});
-        core_norm_sq += ev;
-        const val_t inv_sigma =
-            ev > val_t{1e-24} ? val_t{1} / std::sqrt(ev) : val_t{0};
-        for (idx_t i = 0; i < static_cast<idx_t>(k); ++i) {
-          v_top(i, j) = evecs(i, j) * inv_sigma;
-        }
-      }
-      la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
-      matmul_rows_parallel(w, v_top, factor, nthreads);
-      // Guard against lost orthonormality from zero singular values.
-      orthonormalize_columns(factor);
-      // Pure-f32 mode: the factor master carries only fp32 information
-      // (the next TTMc's shadow conversion is then exact).
-      if (options.precision == Precision::kF32) {
-        la::round_through_f32(factor);
-      }
-
-      if (m == order - 1) {
-        last_w = std::move(w);
-      }
-    }
-
-    if (FaultInjector* inj = rctx.injector()) {
-      inj->corrupt_factors(model.factors, it);
-    }
-
-    // Fit from the projection identity: ||X - X̂||² = ||X||² - ||G||².
-    val_t residual_sq = norm_x - core_norm_sq;
-    if (residual_sq < val_t{0}) residual_sq = 0;
-    const double fit =
-        1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                  std::sqrt(static_cast<double>(norm_x));
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, kNoLambda, 1.0 - fit);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        model.factors = good.factors;
-        result.fit_history = good.fit_history;
-        prev_fit = good.prev_fit;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        // Jitter breaks column orthonormality, which HOOI's projection
-        // identity depends on — restore it before re-entering the sweep.
-        for (la::Matrix& f : model.factors) {
-          orthonormalize_columns(f);
-          if (options.precision == Precision::kF32) {
-            la::round_through_f32(f);
+  while (!core.done()) {
+    core.step(hooi, [&](HooiState& st, int) {
+      for (int m = 0; m < order; ++m) {
+        const idx_t rm = options.core_dims[static_cast<std::size_t>(m)];
+        std::size_t k = 1;
+        for (int n = 0; n < order; ++n) {
+          if (n != m) {
+            k *= options.core_dims[static_cast<std::size_t>(n)];
           }
         }
-        continue;
+        la::Matrix w(x.dim(m), static_cast<idx_t>(k));
+        if (csf_set) {
+          int level = 0;
+          const CsfTensor& rep = csf_set->csf_for_mode(m, level);
+          SPTD_DCHECK(level == 0, "AllMode set must dispatch a root rep");
+          ttmc_csf(rep, st.factors, w, nthreads,
+                   &ttmc_schedules[static_cast<std::size_t>(m)],
+                   options.precision);
+        } else {
+          ttmc(x, st.factors, m, w, nthreads);
+        }
+
+        // Leading r_m left singular vectors of W via the K x K Gram.
+        la::Matrix gram(static_cast<idx_t>(k), static_cast<idx_t>(k));
+        la::ata(w, gram, nthreads);
+        std::vector<val_t> evals(k);
+        la::Matrix evecs(static_cast<idx_t>(k), static_cast<idx_t>(k));
+        la::symmetric_eigen(gram, evals, evecs);
+
+        // U(m) = W * V_top * diag(1/sigma); sum of top eigenvalues is the
+        // projected core norm for this mode's update.
+        la::Matrix v_top(static_cast<idx_t>(k), rm);
+        hooi.core_norm_sq = 0;
+        for (idx_t j = 0; j < rm; ++j) {
+          const val_t ev = std::max(evals[j], val_t{0});
+          hooi.core_norm_sq += ev;
+          const val_t inv_sigma =
+              ev > val_t{1e-24} ? val_t{1} / std::sqrt(ev) : val_t{0};
+          for (idx_t i = 0; i < static_cast<idx_t>(k); ++i) {
+            v_top(i, j) = evecs(i, j) * inv_sigma;
+          }
+        }
+        la::Matrix& factor = st.factors[static_cast<std::size_t>(m)];
+        matmul_rows_parallel(w, v_top, factor, nthreads);
+        // Guard against lost orthonormality from zero singular values.
+        orthonormalize_columns(factor);
+        // Pure-f32 mode: the factor master carries only fp32 information
+        // (the next TTMc's shadow conversion is then exact).
+        if (options.precision == Precision::kF32) {
+          la::round_through_f32(factor);
+        }
+
+        if (m == order - 1) {
+          last_w = std::move(w);
+        }
       }
-      rctx.note_healthy();
-    }
-
-    result.fit_history.push_back(fit);
-    if (options.tolerance > 0.0 && it > 0 &&
-        std::abs(fit - prev_fit) < options.tolerance) {
-      stopped = true;
-    }
-    prev_fit = fit;
-    ++it;
-    result.iterations = it;
-
-    if (guard) {
-      good.factors = model.factors;
-      good.fit_history = result.fit_history;
-      good.prev_fit = prev_fit;
-      good.iteration = it;
-    }
-
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.set_series("fit_history", result.fit_history);
-      ck.set_scalar("prev_fit", prev_fit);
-      rctx.save_checkpoint(std::move(ck));
-    }
+    });
   }
-  rctx.finish(result.resilience);
+
+  TuckerResult result;
+  TuckerModel& model = result.model;
+  model.core_dims = options.core_dims;
+  model.factors = std::move(s.factors);
+  result.fit_history = std::move(s.fit_history);
+  result.iterations = core.iteration();
+  core.resilience().finish(result.resilience);
 
   // Core: G_(last) = U(last)^T W_last, remapped into the model's
   // last-mode-fastest linearization.

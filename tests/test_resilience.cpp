@@ -7,11 +7,16 @@
 
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -388,42 +393,67 @@ CpalsOptions cpals_base() {
   return o;
 }
 
+/// The two arms of every kill-and-resume test: a clean run, and one that
+/// rolls back (a NaN row injected after iteration 2) before the
+/// checkpoint the resume starts from.
+constexpr std::array<const char*, 2> kResumeArms = {"", "corrupt-factor:2"};
+
+/// Recovery-RNG words of the newest \p kind checkpoint in \p dir.
+std::array<std::uint64_t, 4> checkpoint_rng(const std::string& dir,
+                                            const std::string& kind) {
+  const std::optional<Checkpoint> ck =
+      CheckpointManager::load_latest(dir, kind);
+  EXPECT_TRUE(ck.has_value()) << "no " << kind << " checkpoint in " << dir;
+  return ck ? ck->rng_state : std::array<std::uint64_t, 4>{};
+}
+
 TEST(Resume, CpalsKillAndResumeIsBitwise) {
-  ScratchDir dir("cpals");
-  // Reference: uninterrupted run.
-  SparseTensor x1 = test_tensor();
-  const CpalsResult ref = cp_als(x1, cpals_base());
+  std::array<std::array<std::uint64_t, 4>, 2> rng{};
+  for (int arm = 0; arm < 2; ++arm) {
+    SCOPED_TRACE(kResumeArms[arm]);
+    ScratchDir dir(arm == 0 ? "cpals" : "cpals_inject");
+    CpalsOptions base = cpals_base();
+    base.resilience.inject = kResumeArms[arm];
+    // Reference: uninterrupted run.
+    SparseTensor x1 = test_tensor();
+    const CpalsResult ref = cp_als(x1, base);
+    EXPECT_EQ(ref.resilience.rollbacks, arm);
 
-  // "Killed" run: stop after 5 iterations with a checkpoint at 4...
-  SparseTensor x2 = test_tensor();
-  CpalsOptions part = cpals_base();
-  part.max_iterations = 5;
-  part.resilience.checkpoint_dir = dir.path();
-  part.resilience.checkpoint_every = 4;
-  (void)cp_als(x2, part);
+    // "Killed" run: stop after 5 iterations with a checkpoint at 4...
+    SparseTensor x2 = test_tensor();
+    CpalsOptions part = base;
+    part.max_iterations = 5;
+    part.resilience.checkpoint_dir = dir.path();
+    part.resilience.checkpoint_every = 4;
+    (void)cp_als(x2, part);
+    rng[arm] = checkpoint_rng(dir.path(), "cpals");
 
-  // ...then resume to completion from iteration 4.
-  SparseTensor x3 = test_tensor();
-  CpalsOptions rest = cpals_base();
-  rest.resilience.checkpoint_dir = dir.path();
-  rest.resilience.resume = true;
-  const CpalsResult res = cp_als(x3, rest);
+    // ...then resume to completion from iteration 4.
+    SparseTensor x3 = test_tensor();
+    CpalsOptions rest = base;
+    rest.resilience.checkpoint_dir = dir.path();
+    rest.resilience.resume = true;
+    const CpalsResult res = cp_als(x3, rest);
 
-  EXPECT_EQ(res.resilience.resumed_from, 4);
-  ASSERT_EQ(res.iterations, ref.iterations);
-  ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
-  for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
-    EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    EXPECT_EQ(res.resilience.resumed_from, 4);
+    ASSERT_EQ(res.iterations, ref.iterations);
+    ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
+    for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
+      EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    }
+    for (int m = 0; m < 3; ++m) {
+      EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
+                    ref.model.factors[static_cast<std::size_t>(m)]),
+                0.0)
+          << "mode " << m;
+    }
+    for (idx_t r = 0; r < 5; ++r) {
+      EXPECT_EQ(res.model.lambda[r], ref.model.lambda[r]);
+    }
   }
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
-                  ref.model.factors[static_cast<std::size_t>(m)]),
-              0.0)
-        << "mode " << m;
-  }
-  for (idx_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(res.model.lambda[r], ref.model.lambda[r]);
-  }
+  // The rollback's perturbation draws ride the checkpoint, so a resumed
+  // run continues the recovery RNG rather than restarting it.
+  EXPECT_NE(rng[0], rng[1]);
 }
 
 TEST(Resume, EmptyDirIsFreshStartNotError) {
@@ -463,45 +493,54 @@ TEST(Resume, ShapeMismatchIsRejected) {
 // -------------------------------------------------- bitwise resume: tucker
 
 TEST(Resume, TuckerKillAndResumeIsBitwise) {
-  ScratchDir dir("tucker");
-  TuckerOptions base;
-  base.core_dims = {3, 3, 3};
-  base.max_iterations = 6;
-  base.tolerance = 0.0;
-  base.seed = 17;
-  base.nthreads = 1;
+  std::array<std::array<std::uint64_t, 4>, 2> rng{};
+  for (int arm = 0; arm < 2; ++arm) {
+    SCOPED_TRACE(kResumeArms[arm]);
+    ScratchDir dir(arm == 0 ? "tucker" : "tucker_inject");
+    TuckerOptions base;
+    base.core_dims = {3, 3, 3};
+    base.max_iterations = 6;
+    base.tolerance = 0.0;
+    base.seed = 17;
+    base.nthreads = 1;
+    base.resilience.inject = kResumeArms[arm];
 
-  SparseTensor x1 = test_tensor();
-  const TuckerResult ref = tucker_hooi(x1, base);
+    SparseTensor x1 = test_tensor();
+    const TuckerResult ref = tucker_hooi(x1, base);
+    EXPECT_EQ(ref.resilience.rollbacks, arm);
 
-  SparseTensor x2 = test_tensor();
-  TuckerOptions part = base;
-  part.max_iterations = 4;
-  part.resilience.checkpoint_dir = dir.path();
-  part.resilience.checkpoint_every = 3;
-  (void)tucker_hooi(x2, part);
+    SparseTensor x2 = test_tensor();
+    TuckerOptions part = base;
+    part.max_iterations = 4;
+    part.resilience.checkpoint_dir = dir.path();
+    part.resilience.checkpoint_every = 3;
+    (void)tucker_hooi(x2, part);
+    rng[arm] = checkpoint_rng(dir.path(), "tucker");
 
-  SparseTensor x3 = test_tensor();
-  TuckerOptions rest = base;
-  rest.resilience.checkpoint_dir = dir.path();
-  rest.resilience.resume = true;
-  const TuckerResult res = tucker_hooi(x3, rest);
+    SparseTensor x3 = test_tensor();
+    TuckerOptions rest = base;
+    rest.resilience.checkpoint_dir = dir.path();
+    rest.resilience.resume = true;
+    const TuckerResult res = tucker_hooi(x3, rest);
 
-  EXPECT_EQ(res.resilience.resumed_from, 3);
-  ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
-  for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
-    EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    EXPECT_EQ(res.resilience.resumed_from, 3);
+    EXPECT_EQ(res.iterations, ref.iterations);
+    ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
+    for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
+      EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    }
+    for (int m = 0; m < 3; ++m) {
+      EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
+                    ref.model.factors[static_cast<std::size_t>(m)]),
+                0.0)
+          << "mode " << m;
+    }
+    ASSERT_EQ(res.model.core.size(), ref.model.core.size());
+    for (std::size_t i = 0; i < ref.model.core.size(); ++i) {
+      EXPECT_EQ(res.model.core[i], ref.model.core[i]) << "core entry " << i;
+    }
   }
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
-                  ref.model.factors[static_cast<std::size_t>(m)]),
-              0.0)
-        << "mode " << m;
-  }
-  ASSERT_EQ(res.model.core.size(), ref.model.core.size());
-  for (std::size_t i = 0; i < ref.model.core.size(); ++i) {
-    EXPECT_EQ(res.model.core[i], ref.model.core[i]) << "core entry " << i;
-  }
+  EXPECT_NE(rng[0], rng[1]);
 }
 
 // ---------------------------------------------- bitwise resume: completion
@@ -510,47 +549,56 @@ class CompletionResumeTest
     : public ::testing::TestWithParam<CompletionAlgorithm> {};
 
 TEST_P(CompletionResumeTest, KillAndResumeIsBitwise) {
-  ScratchDir dir("completion");
   SparseTensor t = test_tensor(901);
   const auto [train, val] = split_train_test(t, 0.2, 7);
 
-  CompletionOptions base;
-  base.algorithm = GetParam();
-  base.rank = 4;
-  base.max_iterations = 8;
-  base.tolerance = 0.0;  // fixed-length runs keep the comparison simple
-  base.nthreads = 1;
-  base.seed = 31;
+  std::array<std::array<std::uint64_t, 4>, 2> rng{};
+  for (int arm = 0; arm < 2; ++arm) {
+    SCOPED_TRACE(kResumeArms[arm]);
+    ScratchDir dir(arm == 0 ? "completion" : "completion_inject");
+    CompletionOptions base;
+    base.algorithm = GetParam();
+    base.rank = 4;
+    base.max_iterations = 8;
+    base.tolerance = 0.0;  // fixed-length runs keep the comparison simple
+    base.nthreads = 1;
+    base.seed = 31;
+    base.resilience.inject = kResumeArms[arm];
 
-  const CompletionResult ref = complete_tensor(train, &val, base);
+    const CompletionResult ref = complete_tensor(train, &val, base);
+    EXPECT_EQ(ref.resilience.rollbacks, arm);
 
-  CompletionOptions part = base;
-  part.max_iterations = 5;
-  part.resilience.checkpoint_dir = dir.path();
-  part.resilience.checkpoint_every = 4;
-  (void)complete_tensor(train, &val, part);
+    CompletionOptions part = base;
+    part.max_iterations = 5;
+    part.resilience.checkpoint_dir = dir.path();
+    part.resilience.checkpoint_every = 4;
+    (void)complete_tensor(train, &val, part);
+    rng[arm] = checkpoint_rng(dir.path(), "completion");
 
-  CompletionOptions rest = base;
-  rest.resilience.checkpoint_dir = dir.path();
-  rest.resilience.resume = true;
-  const CompletionResult res = complete_tensor(train, &val, rest);
+    CompletionOptions rest = base;
+    rest.resilience.checkpoint_dir = dir.path();
+    rest.resilience.resume = true;
+    const CompletionResult res = complete_tensor(train, &val, rest);
 
-  EXPECT_EQ(res.resilience.resumed_from, 4);
-  ASSERT_EQ(res.train_rmse.size(), ref.train_rmse.size());
-  for (std::size_t i = 0; i < ref.train_rmse.size(); ++i) {
-    EXPECT_EQ(res.train_rmse[i], ref.train_rmse[i]) << "epoch " << i;
+    EXPECT_EQ(res.resilience.resumed_from, 4);
+    EXPECT_EQ(res.iterations, ref.iterations);
+    ASSERT_EQ(res.train_rmse.size(), ref.train_rmse.size());
+    for (std::size_t i = 0; i < ref.train_rmse.size(); ++i) {
+      EXPECT_EQ(res.train_rmse[i], ref.train_rmse[i]) << "epoch " << i;
+    }
+    ASSERT_EQ(res.val_rmse.size(), ref.val_rmse.size());
+    for (std::size_t i = 0; i < ref.val_rmse.size(); ++i) {
+      EXPECT_EQ(res.val_rmse[i], ref.val_rmse[i]) << "epoch " << i;
+    }
+    EXPECT_EQ(res.best_iteration, ref.best_iteration);
+    for (int m = 0; m < 3; ++m) {
+      EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
+                    ref.model.factors[static_cast<std::size_t>(m)]),
+                0.0)
+          << "mode " << m;
+    }
   }
-  ASSERT_EQ(res.val_rmse.size(), ref.val_rmse.size());
-  for (std::size_t i = 0; i < ref.val_rmse.size(); ++i) {
-    EXPECT_EQ(res.val_rmse[i], ref.val_rmse[i]) << "epoch " << i;
-  }
-  EXPECT_EQ(res.best_iteration, ref.best_iteration);
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
-                  ref.model.factors[static_cast<std::size_t>(m)]),
-              0.0)
-        << "mode " << m;
-  }
+  EXPECT_NE(rng[0], rng[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSolvers, CompletionResumeTest,
@@ -562,46 +610,117 @@ INSTANTIATE_TEST_SUITE_P(AllSolvers, CompletionResumeTest,
                                completion_algorithm_name(info.param));
                          });
 
+TEST(Resume, SgdHostilePermutationFailsWithStructuredError) {
+  // SGD's solver state is its per-cell visit order of the training
+  // nonzeros, and run_epoch indexes the tensor with it. A checksummed
+  // checkpoint whose order cannot be that permutation must be rejected
+  // with sptd::Error before any epoch dereferences it.
+  ScratchDir dir("sgd_hostile");
+  SparseTensor t = test_tensor(901);
+  const auto [train, val] = split_train_test(t, 0.2, 7);
+  CompletionOptions o;
+  o.algorithm = CompletionAlgorithm::kSgd;
+  o.rank = 4;
+  o.max_iterations = 4;
+  o.tolerance = 0.0;
+  o.nthreads = 2;  // a 2x2x2 stratum grid: more than one cell
+  o.seed = 31;
+  o.resilience.checkpoint_dir = dir.path();
+  o.resilience.checkpoint_every = 2;
+  (void)complete_tensor(train, &val, o);
+
+  const std::optional<Checkpoint> saved =
+      CheckpointManager::load_latest(dir.path(), "completion");
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->iteration, 2);
+  const std::vector<double>* order = saved->find_series("solver_state");
+  ASSERT_NE(order, nullptr);
+  ASSERT_EQ(order->size(), train.nnz());
+  const std::string path = dir.path() + "/completion-00000002.ckpt";
+
+  CompletionOptions rest = o;
+  rest.resilience.checkpoint_every = 0;
+  rest.resilience.resume = true;
+  // The saved order itself resumes, so each rejection below comes from
+  // the one hostile entry.
+  EXPECT_NO_THROW((void)complete_tensor(train, &val, rest));
+
+  const auto nnz = static_cast<double>(train.nnz());
+  const struct {
+    const char* what;
+    std::pair<std::size_t, double> entry;  // (position, value)
+    bool swap_ends;
+  } hostile[] = {
+      {"id == nnz", {0, nnz}, false},
+      {"id far beyond nnz", {0, 1e18}, false},
+      {"negative id", {0, -1.0}, false},
+      {"non-integral id", {0, (*order)[0] + 0.5}, false},
+      {"repeated id", {1, (*order)[0]}, false},
+      {"ids swapped across cells", {0, (*order)[0]}, true},
+  };
+  for (const auto& h : hostile) {
+    SCOPED_TRACE(h.what);
+    std::vector<double> bad = *order;
+    bad[h.entry.first] = h.entry.second;
+    if (h.swap_ends) std::swap(bad.front(), bad.back());
+    Checkpoint ck = *saved;
+    ck.set_series("solver_state", std::move(bad));
+    atomic_write_file(path, ck.serialize());
+    EXPECT_THROW((void)complete_tensor(train, &val, rest), Error);
+  }
+}
+
 // ---------------------------------------------------- bitwise resume: dist
 
 TEST(Resume, DistKillAndResumeIsBitwise) {
-  ScratchDir dir("dist");
-  DistOptions base;
-  base.grid = {2, 2, 1};
-  base.rank = 4;
-  base.max_iterations = 6;
-  base.seed = 23;
+  std::array<std::array<std::uint64_t, 4>, 2> rng{};
+  for (int arm = 0; arm < 2; ++arm) {
+    SCOPED_TRACE(kResumeArms[arm]);
+    ScratchDir dir(arm == 0 ? "dist" : "dist_inject");
+    DistOptions base;
+    base.grid = {2, 2, 1};
+    base.rank = 4;
+    base.max_iterations = 6;
+    base.seed = 23;
+    base.resilience.inject = kResumeArms[arm];
 
-  SparseTensor x1 = test_tensor();
-  const DistResult ref = dist_cp_als(x1, base);
+    SparseTensor x1 = test_tensor();
+    const DistResult ref = dist_cp_als(x1, base);
+    EXPECT_EQ(ref.resilience.rollbacks, arm);
 
-  SparseTensor x2 = test_tensor();
-  DistOptions part = base;
-  part.max_iterations = 4;
-  part.resilience.checkpoint_dir = dir.path();
-  part.resilience.checkpoint_every = 3;
-  (void)dist_cp_als(x2, part);
+    SparseTensor x2 = test_tensor();
+    DistOptions part = base;
+    part.max_iterations = 4;
+    part.resilience.checkpoint_dir = dir.path();
+    part.resilience.checkpoint_every = 3;
+    (void)dist_cp_als(x2, part);
+    rng[arm] = checkpoint_rng(dir.path(), "dist");
 
-  SparseTensor x3 = test_tensor();
-  DistOptions rest = base;
-  rest.resilience.checkpoint_dir = dir.path();
-  rest.resilience.resume = true;
-  const DistResult res = dist_cp_als(x3, rest);
+    SparseTensor x3 = test_tensor();
+    DistOptions rest = base;
+    rest.resilience.checkpoint_dir = dir.path();
+    rest.resilience.resume = true;
+    const DistResult res = dist_cp_als(x3, rest);
 
-  EXPECT_EQ(res.resilience.resumed_from, 3);
-  ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
-  for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
-    EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    EXPECT_EQ(res.resilience.resumed_from, 3);
+    ASSERT_EQ(res.fit_history.size(), ref.fit_history.size());
+    for (std::size_t i = 0; i < ref.fit_history.size(); ++i) {
+      EXPECT_EQ(res.fit_history[i], ref.fit_history[i]) << "iteration " << i;
+    }
+    for (int m = 0; m < 3; ++m) {
+      EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
+                    ref.model.factors[static_cast<std::size_t>(m)]),
+                0.0)
+          << "mode " << m;
+    }
+    for (idx_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(res.model.lambda[r], ref.model.lambda[r]);
+    }
+    // Comm accounting is an invariant of the iteration count, so the
+    // resumed totals equal the clean run's.
+    EXPECT_EQ(res.comm.total(), ref.comm.total());
   }
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(res.model.factors[static_cast<std::size_t>(m)].max_abs_diff(
-                  ref.model.factors[static_cast<std::size_t>(m)]),
-              0.0)
-        << "mode " << m;
-  }
-  // Comm accounting is an invariant of the iteration count, so the
-  // resumed totals equal the clean run's.
-  EXPECT_EQ(res.comm.total(), ref.comm.total());
+  EXPECT_NE(rng[0], rng[1]);
 }
 
 // ------------------------------------------- rank-deficient Tikhonov path
@@ -635,6 +754,46 @@ TEST(RankDeficient, SingularGramConvergesViaTikhonovBump) {
       }
     }
   }
+}
+
+TEST(RankDeficient, GramBumpsCountOnlyTheRunsOwnSolves) {
+  // A healthy run overlapping one that keeps regularizing must report its
+  // own zero bumps, not the process-wide tally's movement.
+  CpalsOptions singular_opts;
+  singular_opts.rank = 3;
+  singular_opts.max_iterations = 5;
+  singular_opts.tolerance = 0.0;
+  singular_opts.seed = 23;
+  singular_opts.nthreads = 1;
+  std::atomic<bool> stop{false};
+  const std::uint64_t bumps_at_start = la::tikhonov_bump_count();
+  std::thread singular([&] {
+    while (!stop.load()) {
+      // The {1,1,20} tensor of SingularGramConvergesViaTikhonovBump.
+      SparseTensor x = generate_synthetic({.dims = {1, 1, 20}, .nnz = 8,
+                                           .seed = 42,
+                                           .zipf_exponent = 0.3});
+      (void)cp_als(x, singular_opts);
+    }
+  });
+  while (la::tikhonov_bump_count() == bumps_at_start) {
+    std::this_thread::yield();
+  }
+
+  // Overlap is up to the scheduler, so repeat until a healthy run
+  // provably ran while the other thread bumped (a loaded box may need a
+  // few tries); every attempt must report zero bumps of its own.
+  bool overlapped = false;
+  for (int attempt = 0; attempt < 200 && !overlapped; ++attempt) {
+    SparseTensor x = test_tensor();
+    const std::uint64_t before = la::tikhonov_bump_count();
+    const CpalsResult healthy = cp_als(x, cpals_base());
+    overlapped = la::tikhonov_bump_count() > before;
+    EXPECT_EQ(healthy.resilience.gram_bumps, 0u) << "attempt " << attempt;
+  }
+  stop.store(true);
+  singular.join();
+  EXPECT_TRUE(overlapped) << "no healthy run overlapped the singular runs";
 }
 
 TEST(RankDeficient, PotrfReportsFailureOnSingularMatrix) {

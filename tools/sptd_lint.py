@@ -32,6 +32,14 @@ CI instead of waiting for a reviewer to remember it. The rules:
                         accumulators there must be aligned_vector<> so
                         rows start on the 64-byte line the SIMD kernels
                         and first-touch policy assume.
+  resilience-protocol   calls to try_resume, fail_or_retry,
+                        note_healthy, checkpoint_due, save_checkpoint,
+                        seed_trend or perturb_factors in src/ outside
+                        src/resilience/. The resume → guard → rollback
+                        → checkpoint protocol lives once, in the
+                        iteration core (resilience/iteration.hpp); a
+                        driver that sequences these calls itself is a
+                        copy of it that will drift.
   bench-field-registry  every .field("name" emitted by bench/ must
                         appear in one of tools/bench_compare.py's
                         registries (DEFAULT_METRICS,
@@ -125,6 +133,9 @@ STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
 STD_THREAD_RE = re.compile(r"\bstd::j?thread\b")
 UNALIGNED_RE = re.compile(r"\bstd::vector<\s*(val_t|float)\s*>")
 FIELD_RE = re.compile(r'\.field\(\s*"([^"]+)"')
+PROTOCOL_RE = re.compile(
+    r"\b(try_resume|fail_or_retry|note_healthy|checkpoint_due|"
+    r"save_checkpoint|seed_trend|perturb_factors)\s*\(")
 
 
 def in_dir(rel, top):
@@ -154,6 +165,14 @@ def lint_sources(root):
                 STD_FUNCTION_RE,
                 "std::function in a kernel hot path: dispatch by "
                 "template or function pointer",
+                findings)
+        if not in_dir(rel, "src/resilience"):
+            scan_pattern(
+                root, rel, lines, "resilience-protocol", PROTOCOL_RE,
+                "resilience protocol call outside src/resilience: run "
+                "the driver on the iteration core "
+                "(resilience/iteration.hpp) instead of sequencing "
+                "resume/rollback/checkpoint itself",
                 findings)
         if any(in_dir(rel, d) for d in HOT_DIRS):
             scan_pattern(
@@ -219,6 +238,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("std-function-hot-path", "src/la/fixture_hot_path.cpp"): 1,
     ("std-function-hot-path", "src/parallel/fixture_context.cpp"): 1,
     ("unaligned-value-array", "src/csf/fixture_storage.cpp"): 2,
+    ("resilience-protocol", "src/cpd/fixture_driver.cpp"): 3,
     ("bench-field-registry", "bench/bench_fixture.cpp"): 1,
 }
 
