@@ -47,8 +47,21 @@ std::string checksum_hex(std::uint64_t h) {
   return std::string(buf);
 }
 
-/// Parses the body shared by v1 and v2 from a token stream.
-KruskalModel read_model_body(std::istream& in) {
+/// Parses the body shared by v1 and v2. Every declared size is checked
+/// against the unread bytes before anything is allocated: each value
+/// needs at least a digit and a separator, so a size above half of what
+/// is left cannot be honest.
+KruskalModel read_model_body(const std::string& body) {
+  std::istringstream in(body);
+  const auto check_fits = [&](std::uint64_t values, const std::string& what) {
+    const std::uint64_t left =
+        in.eof() ? 0
+                 : body.size() - static_cast<std::uint64_t>(in.tellg());
+    SPTD_CHECK(values <= left / 2,
+               "read_model: " + what + " declares " + std::to_string(values) +
+                   " values but only " + std::to_string(left) +
+                   " bytes of the body remain");
+  };
   std::string token;
   int order = 0;
   idx_t rank = 0;
@@ -61,6 +74,7 @@ KruskalModel read_model_body(std::istream& in) {
   KruskalModel model;
   SPTD_CHECK(static_cast<bool>(in >> token) && token == "lambda",
              "read_model: missing lambda section");
+  check_fits(rank, "rank");
   model.lambda.resize(rank);
   for (idx_t r = 0; r < rank; ++r) {
     SPTD_CHECK(static_cast<bool>(in >> model.lambda[r]),
@@ -75,6 +89,7 @@ KruskalModel read_model_body(std::istream& in) {
                    cols == rank,
                "read_model: bad factor header for mode " +
                    std::to_string(m));
+    check_fits(std::uint64_t{rows} * cols, "factor " + std::to_string(m));
     la::Matrix f(rows, cols);
     for (idx_t i = 0; i < rows; ++i) {
       val_t* row = f.row_ptr(i);
@@ -113,33 +128,31 @@ KruskalModel read_model(std::istream& in) {
   SPTD_CHECK(static_cast<bool>(in >> token >> version) &&
                  token == "sptd-kruskal",
              "read_model: bad header (not an sptd-kruskal file)");
-  if (version == 1) {
-    // Legacy files: no checksum line, body follows directly.
-    return read_model_body(in);
-  }
-  SPTD_CHECK(version == 2,
+  SPTD_CHECK(version == 1 || version == 2,
              "read_model: unsupported version " + std::to_string(version));
   std::uint64_t expected = 0;
-  SPTD_CHECK(static_cast<bool>(in >> token) && token == "checksum",
-             "read_model: missing checksum line");
-  std::string hex;
-  SPTD_CHECK(static_cast<bool>(in >> hex) && hex.size() == 16,
-             "read_model: malformed checksum");
-  try {
-    expected = std::stoull(hex, nullptr, 16);
-  } catch (const std::exception&) {
-    throw Error("read_model: malformed checksum");
+  if (version == 2) {
+    SPTD_CHECK(static_cast<bool>(in >> token) && token == "checksum",
+               "read_model: missing checksum line");
+    std::string hex;
+    SPTD_CHECK(static_cast<bool>(in >> hex) && hex.size() == 16,
+               "read_model: malformed checksum");
+    try {
+      expected = std::stoull(hex, nullptr, 16);
+    } catch (const std::exception&) {
+      throw Error("read_model: malformed checksum");
+    }
+    std::string line;
+    std::getline(in, line);
   }
-  // The payload is everything after the checksum line, to end of stream.
-  std::string line;
-  std::getline(in, line);
+  // The body is everything after the header (v1, which has no checksum
+  // line) or the checksum line (v2), to end of stream.
   std::ostringstream payload;
   payload << in.rdbuf();
   const std::string body = payload.str();
-  SPTD_CHECK(fnv1a64(body) == expected,
+  SPTD_CHECK(version == 1 || fnv1a64(body) == expected,
              "read_model: checksum mismatch (file corrupt or truncated)");
-  std::istringstream body_in(body);
-  return read_model_body(body_in);
+  return read_model_body(body);
 }
 
 KruskalModel read_model_file(const std::string& path) {

@@ -49,7 +49,7 @@ struct DistOptions {
   int max_iterations = 10;
   std::uint64_t seed = 23;  ///< factor initialization seed (as CP-ALS)
   /// Balance block boundaries by slice nonzero counts instead of equal
-  /// index ranges (the same weighted-vs-uniform choice as tiling).
+  /// index ranges (the same weighted-vs-static choice as SliceSchedule).
   bool weighted_blocks = true;
   /// Slice scheduling inside each locale's MTTKRP plan
   /// (static | weighted | dynamic | workstealing).

@@ -44,8 +44,8 @@ std::uint64_t weighted_partition_calls();
 
 /// Per-slice occurrence prefix of an index array: out[i] = number of
 /// entries of \p ids with value < i, length \p dim + 1. This is the
-/// weight_prefix every slice-balanced partition (tiling, completion row
-/// updates, distributed blocks) feeds to weighted_partition.
+/// weight_prefix every slice-balanced partition (completion row updates,
+/// distributed blocks) feeds to weighted_partition.
 std::vector<nnz_t> slice_nnz_prefix(std::span<const idx_t> ids, idx_t dim);
 
 /// Same, over a generic index stream (ids[i] -> slice id for i < count):

@@ -29,7 +29,6 @@
 #include "csf/csf.hpp"
 #include "dist/dist_cpals.hpp"
 #include "mttkrp/plan.hpp"
-#include "mttkrp/tiled.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"

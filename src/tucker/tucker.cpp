@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -453,22 +452,18 @@ TuckerResult tucker_hooi(const SparseTensor& x,
   // prefix sharing (SPLATT's Tucker formulation). The per-mode slice
   // schedules are the TTMc execution plan — built once here, reused by
   // every HOOI iteration.
-  std::unique_ptr<CsfSet> csf_set;
-  std::vector<SliceSchedule> ttmc_schedules;
-  if (options.use_csf) {
+  const CsfSet csf_set = [&] {
     SparseTensor sorted = x;
-    csf_set = std::make_unique<CsfSet>(sorted, CsfPolicy::kAllMode,
-                                       nthreads, nullptr,
-                                       SortVariant::kAllOpts,
-                                       options.csf_layout);
-    ttmc_schedules.resize(static_cast<std::size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      int level = 0;
-      const CsfTensor& rep = csf_set->csf_for_mode(m, level);
-      ttmc_schedules[static_cast<std::size_t>(m)] =
-          SliceSchedule(options.schedule, rep.nfibers(0),
-                        rep.root_nnz_prefix(), nthreads);
-    }
+    return CsfSet(sorted, CsfPolicy::kAllMode, nthreads, nullptr,
+                  SortVariant::kAllOpts, options.csf_layout);
+  }();
+  std::vector<SliceSchedule> ttmc_schedules(static_cast<std::size_t>(order));
+  for (int m = 0; m < order; ++m) {
+    int level = 0;
+    const CsfTensor& rep = csf_set.csf_for_mode(m, level);
+    ttmc_schedules[static_cast<std::size_t>(m)] =
+        SliceSchedule(options.schedule, rep.nfibers(0),
+                      rep.root_nnz_prefix(), nthreads);
   }
 
   detail::IterationCore<HooiState> core(options.resilience, "tucker",
@@ -497,16 +492,12 @@ TuckerResult tucker_hooi(const SparseTensor& x,
           }
         }
         la::Matrix w(x.dim(m), static_cast<idx_t>(k));
-        if (csf_set) {
-          int level = 0;
-          const CsfTensor& rep = csf_set->csf_for_mode(m, level);
-          SPTD_DCHECK(level == 0, "AllMode set must dispatch a root rep");
-          ttmc_csf(rep, st.factors, w, nthreads,
-                   &ttmc_schedules[static_cast<std::size_t>(m)],
-                   options.precision);
-        } else {
-          ttmc(x, st.factors, m, w, nthreads);
-        }
+        int level = 0;
+        const CsfTensor& rep = csf_set.csf_for_mode(m, level);
+        SPTD_DCHECK(level == 0, "AllMode set must dispatch a root rep");
+        ttmc_csf(rep, st.factors, w, nthreads,
+                 &ttmc_schedules[static_cast<std::size_t>(m)],
+                 options.precision);
 
         // Leading r_m left singular vectors of W via the K x K Gram.
         la::Matrix gram(static_cast<idx_t>(k), static_cast<idx_t>(k));

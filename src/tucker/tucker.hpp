@@ -53,10 +53,6 @@ struct TuckerOptions {
   double tolerance = 1e-5; ///< fit-improvement stop (0 = run all)
   std::uint64_t seed = 17;
   int nthreads = 1;
-  /// Evaluate TTMc over an all-mode CSF set (SPLATT's approach; several
-  /// times faster through prefix sharing) instead of flat COO. Both
-  /// paths produce identical results; tests exercise both.
-  bool use_csf = true;
   /// Slice scheduling for the CSF TTMc kernels (static | weighted |
   /// dynamic | workstealing); one schedule per mode is built before the
   /// HOOI loop and reused across all iterations (reset() per launch
@@ -68,8 +64,8 @@ struct TuckerOptions {
   /// Value-stream precision for the CSF TTMc (common/precision.hpp):
   /// f32/mixed stream fp32 factor shadows + fp32 CSF values with fp64
   /// Kronecker accumulation; f32 additionally rounds each updated factor
-  /// through fp32 per HOOI sweep. The COO fallback (use_csf = false) and
-  /// all dense linear algebra (Gram, eigen, core) always run fp64.
+  /// through fp32 per HOOI sweep. All dense linear algebra (Gram, eigen,
+  /// core) always runs fp64.
   Precision precision = Precision::kF64;
   /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
   /// tucker_hooi applies this process-wide via set_parallel_backend()

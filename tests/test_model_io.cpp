@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "cpd/cpals.hpp"
 #include "cpd/model_io.hpp"
@@ -150,6 +153,37 @@ TEST(ModelIo, RejectsTruncatedV2Payload) {
   text.resize(text.size() - text.size() / 4);  // drop the tail
   std::istringstream in(text);
   EXPECT_THROW(read_model(in), Error);
+}
+
+// A declared size is checked against the body bytes left before anything
+// is allocated, so a forged rank or factor shape fails with a structured
+// error instead of std::bad_alloc: in a legacy v1 file, and in a v2 file
+// whose checksum is correct.
+TEST(ModelIo, HostileDeclaredSizesFailWithStructuredErrors) {
+  const std::vector<std::string> bodies = {
+      "order 1 rank 4000000000\nlambda\n1\n",
+      "order 1 rank 1\nlambda\n1\nfactor 0 4000000000 1\n1\n",
+  };
+  for (const std::string& body : bodies) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(body)));
+    for (const std::string& text :
+         {"sptd-kruskal 1\n" + body,
+          "sptd-kruskal 2\nchecksum " + std::string(hex) + "\n" + body}) {
+      std::istringstream in(text);
+      try {
+        (void)read_model(in);
+        FAIL() << "hostile model was accepted:\n" << text;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("read_model: "),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("declares 4000000000 values"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "cpd/kruskal.hpp"
 #include "csf/csf.hpp"
 #include "mttkrp/mttkrp.hpp"
-#include "mttkrp/tiled.hpp"
 #include "sort/sort.hpp"
 #include "tensor/dense.hpp"
 #include "tensor/reorder.hpp"
@@ -19,8 +18,9 @@
 namespace sptd {
 namespace {
 
-// Sweep seeds x skew: CSF MTTKRP == COO MTTKRP == tiled MTTKRP on the
-// same random tensor, for every mode.
+// Sweep seeds x skew: CSF MTTKRP (planner's sync choice, 2 threads) ==
+// CSF MTTKRP with locks forced (3 threads) == COO MTTKRP on the same
+// random tensor, for every mode.
 class MttkrpConsistencyTest
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
@@ -39,18 +39,21 @@ TEST_P(MttkrpConsistencyTest, ThreeKernelsAgree) {
   MttkrpOptions mo;
   mo.nthreads = 2;
   MttkrpWorkspace ws(mo, 7, 3);
+  MttkrpOptions locked_mo;
+  locked_mo.nthreads = 3;
+  locked_mo.force_locks = true;
+  MttkrpWorkspace locked_ws(locked_mo, 7, 3);
   for (int mode = 0; mode < 3; ++mode) {
     la::Matrix via_csf(t.dim(mode), 7);
     mttkrp(set, factors, mode, via_csf, ws);
+    la::Matrix via_locked(t.dim(mode), 7);
+    mttkrp(set, factors, mode, via_locked, locked_ws);
     la::Matrix via_coo(t.dim(mode), 7);
     mttkrp_coo(t, factors, mode, via_coo, mo);
-    const TiledTensor tiled(t, mode, 3);
-    la::Matrix via_tiled(t.dim(mode), 7);
-    mttkrp_tiled(tiled, factors, via_tiled);
     EXPECT_LT(via_csf.max_abs_diff(via_coo), 1e-9)
         << "csf vs coo, mode " << mode;
-    EXPECT_LT(via_tiled.max_abs_diff(via_coo), 1e-9)
-        << "tiled vs coo, mode " << mode;
+    EXPECT_LT(via_locked.max_abs_diff(via_coo), 1e-9)
+        << "locked csf vs coo, mode " << mode;
   }
 }
 

@@ -394,24 +394,6 @@ TEST(Hooi, EarlyStopHonorsTolerance) {
   EXPECT_LT(r.iterations, 100);
 }
 
-TEST(Hooi, CsfAndCooPathsAgree) {
-  const SparseTensor x = generate_synthetic(
-      {.dims = {16, 13, 11}, .nnz = 500, .seed = 7200,
-       .zipf_exponent = 0.5});
-  TuckerOptions opts;
-  opts.core_dims = {3, 3, 3};
-  opts.max_iterations = 4;
-  opts.tolerance = 0.0;
-  opts.use_csf = true;
-  const TuckerResult with_csf = tucker_hooi(x, opts);
-  opts.use_csf = false;
-  const TuckerResult with_coo = tucker_hooi(x, opts);
-  ASSERT_EQ(with_csf.fit_history.size(), with_coo.fit_history.size());
-  for (std::size_t i = 0; i < with_csf.fit_history.size(); ++i) {
-    EXPECT_NEAR(with_csf.fit_history[i], with_coo.fit_history[i], 1e-10);
-  }
-}
-
 TEST(Hooi, DeterministicInSeed) {
   const SparseTensor x = generate_synthetic(
       {.dims = {14, 12, 10}, .nnz = 500, .seed = 7007});

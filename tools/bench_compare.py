@@ -127,9 +127,7 @@ KNOWN_IDENTITY_FIELDS = [
     "schedule",
     "strategies",
     "threads",
-    "tile_policy",
     "transport",
-    "zipf",
 ]
 
 

@@ -1,6 +1,7 @@
 # Minimal registry stub for the sptd_lint self-test: just the four
 # lists the bench-field-registry rule parses. The fixture bench emits
-# "bench", "seconds", one unregistered field, and one allow-marked one.
+# every entry below except one seeded stale registration, plus one
+# unregistered field and one allow-marked one.
 DEFAULT_METRICS = [
     "seconds",
 ]
@@ -15,4 +16,5 @@ DEFAULT_COUNTERS = [
 
 KNOWN_IDENTITY_FIELDS = [
     "bench",
+    "retired_field",  # VIOLATION bench-field-registry: no bench emits it
 ]

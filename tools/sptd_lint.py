@@ -48,6 +48,12 @@ CI instead of waiting for a reviewer to remember it. The rules:
                         silently becomes part of record identity; if it
                         varies run to run, the record never pairs with
                         its baseline and the gate checks nothing.
+                        The reverse holds too: an entry of
+                        DEFAULT_DEFICIT_METRICS, DEFAULT_COUNTERS or
+                        KNOWN_IDENTITY_FIELDS that no bench emits is
+                        dead schema left behind by a deleted bench.
+                        (DEFAULT_METRICS is exempt: its routine names
+                        come from routine_name(), not literals.)
 
 A violation a human has judged acceptable is waived at the site with a
 marker comment on the same line or the line above:
@@ -183,12 +189,13 @@ def lint_sources(root):
     return findings
 
 
-def registered_bench_fields(root):
-    """Union of the four registry lists in tools/bench_compare.py."""
+def registry_entries(root):
+    """(list name, field, line number) for every entry of the four
+    registry lists in tools/bench_compare.py."""
     path = os.path.join(root, "tools", "bench_compare.py")
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    fields = set()
+    entries = []
     for name in REGISTRY_LISTS:
         m = re.search(rf"^{name}\s*=\s*\[(.*?)\]", text,
                       re.DOTALL | re.MULTILINE)
@@ -196,21 +203,23 @@ def registered_bench_fields(root):
             raise SystemExit(
                 f"{path}: registry list {name} not found; "
                 "sptd_lint.py and bench_compare.py are out of sync")
-        fields.update(re.findall(r'"([^"]+)"', m.group(1)))
-    return fields
+        for e in re.finditer(r'"([^"]+)"', m.group(1)):
+            lineno = text.count("\n", 0, m.start(1) + e.start()) + 1
+            entries.append((name, e.group(1), lineno))
+    return entries
 
 
 def lint_bench_fields(root):
     findings = []
-    registered = registered_bench_fields(root)
-    bench_dir = os.path.join(root, "bench")
-    if not os.path.isdir(bench_dir):
-        return findings
+    entries = registry_entries(root)
+    registered = {field for _, field, _ in entries}
+    emitted = set()
     for rel in iter_source_files(root, "bench"):
         lines = read_lines(root, rel)
         for idx, line in enumerate(lines):
             for m in FIELD_RE.finditer(line):
                 name = m.group(1)
+                emitted.add(name)
                 if name in registered:
                     continue
                 if allowed("bench-field-registry", lines, idx):
@@ -220,6 +229,16 @@ def lint_bench_fields(root):
                     f'bench field "{name}" is not registered in '
                     "tools/bench_compare.py (metric, deficit metric, "
                     "counter, or KNOWN_IDENTITY_FIELDS)"))
+    # The other direction: an entry no bench emits any more is dead
+    # schema. DEFAULT_METRICS is exempt because the routine names in it
+    # are emitted through routine_name(), never as .field literals.
+    for name, field, lineno in entries:
+        if name == "DEFAULT_METRICS" or field in emitted:
+            continue
+        findings.append(Finding(
+            "bench-field-registry", "tools/bench_compare.py", lineno,
+            f'{name} entry "{field}" is emitted by no bench/ '
+            ".field literal: drop the stale registration"))
     return findings
 
 
@@ -240,6 +259,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("unaligned-value-array", "src/csf/fixture_storage.cpp"): 2,
     ("resilience-protocol", "src/cpd/fixture_driver.cpp"): 3,
     ("bench-field-registry", "bench/bench_fixture.cpp"): 1,
+    ("bench-field-registry", "tools/bench_compare.py"): 1,
 }
 
 
