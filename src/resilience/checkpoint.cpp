@@ -14,6 +14,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fileio.hpp"
+#include "common/format.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "resilience/fault.hpp"
@@ -23,12 +24,6 @@ namespace sptd {
 namespace {
 
 namespace fs = std::filesystem;
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];

@@ -9,13 +9,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "parallel/team.hpp"
 
 namespace sptd {
@@ -420,15 +419,26 @@ SparseTensor read_tns_file(const std::string& path,
 }
 
 void write_tns(const SparseTensor& t, std::ostream& out) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<val_t>::max_digits10);
+  // Lines go into one block, written out whenever the next line might not
+  // fit; a line is at most kMaxOrder ten-digit indices and a value.
+  constexpr std::size_t kLineBytes = kMaxOrder * 11 + kMaxDoubleChars + 1;
+  std::vector<char> block(kTnsBlockBytes);
+  char* const begin = block.data();
+  char* const limit = begin + block.size() - kLineBytes;
+  char* p = begin;
   for (nnz_t x = 0; x < t.nnz(); ++x) {
     for (int m = 0; m < t.order(); ++m) {
-      os << (t.ind(m)[x] + 1) << ' ';
+      p = std::to_chars(p, p + 10, t.ind(m)[x] + 1).ptr;
+      *p++ = ' ';
     }
-    os << t.vals()[x] << '\n';
+    p = format_double(p, t.vals()[x]);
+    *p++ = '\n';
+    if (p > limit) {
+      out.write(begin, p - begin);
+      p = begin;
+    }
   }
-  out << os.str();
+  out.write(begin, p - begin);
 }
 
 void write_tns_file(const SparseTensor& t, const std::string& path) {
