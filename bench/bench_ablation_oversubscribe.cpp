@@ -131,6 +131,9 @@ int main(int argc, char** argv) {
     co.max_iterations = iters;
     co.tolerance = 0.0;
     co.nthreads = team;
+    // Pinned to the locked deposits this scenario has always measured:
+    // concurrent runs contending on each backend's locks.
+    co.force_locks = true;
     apply_kernel_flags(cli, co);
 
     // Private tensor copies built before the clock starts: the measured

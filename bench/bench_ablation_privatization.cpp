@@ -1,12 +1,14 @@
 /// \file bench_ablation_privatization.cpp
-/// \brief Ablation: SPLATT's lock-vs-privatize decision. Sweeps the
-///        privatization threshold's two extremes (always-lock,
-///        always-privatize) against the heuristic default across thread
-///        counts, on both the YELP shape (heuristic flips to locks beyond
-///        2 threads) and the NELL-2 shape (privatizes everywhere). The
-///        heuristic should track the better extreme on each dataset.
+/// \brief Ablation: the lock-vs-privatize decision. Sweeps the two
+///        extremes (always-lock, always-privatize) against SPLATT's
+///        heuristic (threshold 0.02) and the library's default fiber-count
+///        rule across thread counts, on both the YELP shape (SPLATT's
+///        heuristic flips to locks beyond 2 threads) and the NELL-2 shape
+///        (privatizes everywhere). A rule should track the better extreme
+///        on each dataset.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.hpp"
 
@@ -15,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace sptd::bench;
 
   Options cli("bench_ablation_privatization",
-              "lock vs privatize vs SPLATT heuristic");
+              "lock vs privatize vs SPLATT heuristic vs cost rule");
   add_common_flags(cli, "yelp", "0.01", "5", "1,2,4,8");
   if (!cli.parse(argc, argv)) {
     return 0;
@@ -38,12 +40,13 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     bool force_locks;
-    double threshold;  // privatization threshold
+    std::optional<double> threshold;  // unset: the fiber-count rule
   };
   const Config configs[] = {
       {"always-lock", true, 0.02},
       {"always-privatize", false, 1e18},
       {"splatt-heuristic", false, 0.02},
+      {"cost-rule", false, std::nullopt},
   };
 
   std::printf("# seconds for %d MTTKRP sweeps (OneMode CSF: two non-root "

@@ -6,8 +6,8 @@
 ///
 /// For each thread count, times `--reps` full mode sweeps of the MTTKRP
 /// under the reference configuration and prints the runtime and speedup
-/// over one thread, plus which synchronization strategy SPLATT's
-/// heuristic chose per mode (the YELP-vs-NELL-2 story of Section V-D2).
+/// over one thread, plus which synchronization strategy the plan chose
+/// per mode (lock or privatize; README "Sync strategy").
 
 #include <cstdio>
 

@@ -25,7 +25,7 @@ val_t fit_inner_product(const la::Matrix& mttkrp_out, const la::Matrix& a,
              "fit_inner_product: scratch too small");
   // Column-wise Frobenius products, parallel over rows; the per-thread
   // partial rows live in caller-owned scratch reused across iterations.
-  partials.clear(nthreads);
+  partials.clear(static_cast<nnz_t>(rank), nthreads);
   parallel_region(nthreads, [&](int tid, int nt) {
     val_t* part = partials.buffer(tid).data();
     const Range rows = block_partition(a.rows(), nt, tid);

@@ -4,6 +4,7 @@
 ///        decomposition of a sparse tensor by alternating least squares,
 ///        with the per-routine timing breakdown the paper reports.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,10 @@ struct CpalsOptions {
   /// Dynamic/workstealing claims-per-thread target
   /// (MttkrpOptions::chunk_target).
   int chunk_target = 16;
-  double privatization_threshold = 0.02;
+  /// Lock-vs-privatize rule (MttkrpOptions::privatization_threshold):
+  /// unset picks by the CSF's fiber counts; set applies SPLATT's
+  /// dims[m] * nthreads <= threshold * nnz.
+  std::optional<double> privatization_threshold;
   bool force_locks = false;
   bool allow_privatization = true;
   /// Rank-specialized SIMD kernels (MttkrpOptions::use_fixed_kernels);

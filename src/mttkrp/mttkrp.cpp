@@ -55,24 +55,25 @@ idx_t selected_kernel_width(idx_t rank, const MttkrpOptions& opts) {
 }
 
 SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
-                                  nnz_t nnz, const MttkrpOptions& opts) {
+                                  nnz_t nnz, nnz_t level_fibers,
+                                  const MttkrpOptions& opts) {
   g_choose_sync_strategy_calls.fetch_add(1, std::memory_order_relaxed);
   if (level == 0 || opts.nthreads == 1) {
     return SyncStrategy::kNone;
   }
-  if (opts.force_locks) {
+  if (opts.force_locks || !opts.allow_privatization) {
     return SyncStrategy::kLock;
   }
-  if (opts.allow_privatization) {
-    const double replicated =
-        static_cast<double>(dims[static_cast<std::size_t>(out_mode)]) *
-        static_cast<double>(opts.nthreads);
-    if (replicated <= opts.privatization_threshold *
-                          static_cast<double>(nnz)) {
-      return SyncStrategy::kPrivatize;
-    }
-  }
-  return SyncStrategy::kLock;
+  const double rows =
+      static_cast<double>(dims[static_cast<std::size_t>(out_mode)]);
+  const double threads = static_cast<double>(opts.nthreads);
+  const bool privatize =
+      opts.privatization_threshold
+          ? rows * threads <=
+                *opts.privatization_threshold * static_cast<double>(nnz)
+          : (threads + 1.0) * rows <=
+                kPrivatizeFiberFactor * static_cast<double>(level_fibers);
+  return privatize ? SyncStrategy::kPrivatize : SyncStrategy::kLock;
 }
 
 namespace {
@@ -1114,17 +1115,16 @@ void run_mode(const MttkrpModePlan& mp,
     }
     case SyncStrategy::kPrivatize: {
       const idx_t rows = mp.csf->dims()[static_cast<std::size_t>(mp.mode)];
+      const nnz_t used = static_cast<nnz_t>(rows) * ws.rank_stride();
       PrivateBuffers& priv = ws.privatized(rows);
-      priv.clear(nthreads);
+      priv.clear(used, nthreads);
       run_kernel<K>(ctx, ThreadPrivSink<K>{&priv, ws.rank_stride()},
                     mp.level, mp.slices, nthreads);
       out.zero_parallel(nthreads);
       SPTD_DCHECK(out.ld() == ws.rank_stride(),
                   "privatize: output stride mismatch");
-      priv.reduce_into(
-          {out.data(),
-           static_cast<std::size_t>(rows) * out.ld()},
-          nthreads);
+      priv.reduce_into({out.data(), static_cast<std::size_t>(used)},
+                       nthreads);
       break;
     }
   }
@@ -1249,8 +1249,8 @@ MttkrpModePlan plan_mode(const CsfTensor& csf, int mode, idx_t rank,
   mp.csf = &csf;
   mp.mode = mode;
   mp.level = csf.level_of_mode(mode);
-  mp.strategy =
-      choose_sync_strategy(csf.dims(), mode, mp.level, csf.nnz(), opts);
+  mp.strategy = choose_sync_strategy(csf.dims(), mode, mp.level, csf.nnz(),
+                                     csf.nfibers(mp.level), opts);
   mp.slices = SliceSchedule(opts.schedule, csf.nfibers(0),
                             csf.root_nnz_prefix(), opts.nthreads,
                             static_cast<nnz_t>(opts.chunk_target));

@@ -13,12 +13,25 @@
 ///   * internal — conflicting writes: mutex pool or privatized buffers
 ///   * leaf     — conflicting writes at the deepest level: same choice
 ///
-/// The privatize-or-lock decision is SPLATT's heuristic: privatize mode m
-/// iff dims[m] * nthreads <= privatization_threshold * nnz (default 0.02).
-/// This is what makes the paper's YELP runs lock beyond 2 threads while
-/// NELL-2 never locks (Section V-D2).
+/// The privatize-or-lock decision compares the rows each path touches,
+/// counted from the CSF itself. For a mode at tree level L > 0 on T > 1
+/// threads, privatization zeroes T replicas of the dims[m] output rows and
+/// the reduction reads them back once more: (T + 1) * dims[m] rows. The
+/// locked path takes one lock and deposits one row per fiber at level L:
+/// nfibers(L) rows, where the leaf level counts one per nonzero. Rank and
+/// value width scale both sides alike, so the rule is
+///   privatize iff (T + 1) * dims[m] <= kPrivatizeFiberFactor * nfibers(L).
+/// It also bounds the privatized bank: T * dims[m] rows stay below
+/// kPrivatizeFiberFactor * nfibers(L) <= kPrivatizeFiberFactor * nnz rows.
+///
+/// Setting MttkrpOptions::privatization_threshold selects SPLATT's
+/// heuristic instead: privatize iff dims[m] * T <= threshold * nnz. At
+/// SPLATT's 0.02 that is what makes the paper's YELP runs lock beyond 2
+/// threads while NELL-2 never locks (Section V-D2); the paper-figure
+/// benches set it.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,9 +68,11 @@ struct MttkrpOptions {
   /// axis the paper studies); weighted is SPLATT's nnz-balanced blocking,
   /// workstealing adds per-thread deques on top of the weighted seed.
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// SPLATT's privatization threshold: privatize mode m iff
-  /// dims[m] * nthreads <= privatization_threshold * nnz.
-  double privatization_threshold = 0.02;
+  /// Unset (the default): privatize by the fiber-count rule in the file
+  /// header. Set: SPLATT's heuristic, privatize mode m iff
+  /// dims[m] * nthreads <= *privatization_threshold * nnz (SPLATT and the
+  /// paper figures use 0.02).
+  std::optional<double> privatization_threshold;
   /// Force lock use even where privatization would be chosen (Figure 4
   /// sweeps lock kinds and needs the locked path exercised).
   bool force_locks = false;
@@ -109,10 +124,19 @@ struct MttkrpOptions {
 /// runtime-rank loops).
 idx_t selected_kernel_width(idx_t rank, const MttkrpOptions& opts);
 
-/// Decides the sync strategy SPLATT would use for an MTTKRP writing
-/// \p out_mode at tree level \p level of a CSF with \p nnz nonzeros.
+/// The factor k of the default sync rule: privatize iff
+/// (T + 1) * dims[m] <= k * nfibers(L). Fixed from a lock-vs-privatize
+/// crossover sweep (README, "Sync strategy"): f64 turns over near 0.5,
+/// mixed near 1.2, and a miss costs f64 far more.
+inline constexpr double kPrivatizeFiberFactor = 0.5;
+
+/// Decides the sync strategy for an MTTKRP writing \p out_mode at tree
+/// level \p level of a CSF with \p nnz nonzeros and \p level_fibers
+/// fibers at that level (nnz at the leaf): the fiber-count rule, or
+/// SPLATT's heuristic when opts.privatization_threshold is set.
 SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
-                                  nnz_t nnz, const MttkrpOptions& opts);
+                                  nnz_t nnz, nnz_t level_fibers,
+                                  const MttkrpOptions& opts);
 
 /// Process-wide count of choose_sync_strategy() calls (monotonic). Like
 /// weighted_partition_calls(): strategy choice is plan-construction work,
@@ -161,8 +185,8 @@ class MttkrpWorkspace {
   [[nodiscard]] AnyMutexPool& pool() { return pool_; }
 
   /// Privatized output buffers sized for >= rows*rank values per thread;
-  /// reallocated only when a larger mode is requested. Buffers are zeroed
-  /// on each call.
+  /// reallocated only when a larger mode is requested. The privatized
+  /// kernel zeroes the rows*rank_stride() prefix it uses before each launch.
   PrivateBuffers& privatized(idx_t rows);
 
   /// The strategy chosen by the most recent mttkrp() call (bench
@@ -221,7 +245,7 @@ struct MttkrpModePlan {
 };
 
 /// Plans the mode-\p mode MTTKRP over \p csf (which must hold \p mode)
-/// at \p rank under \p opts: SPLATT's sync choice, the slice schedule,
+/// at \p rank under \p opts: the sync choice, the slice schedule,
 /// and the kernel table row for (precision, selected_kernel_width(),
 /// stored index widths). The slice/2d row-access ablations resolve from
 /// their own small f64 rows outside the production table, keyed with
@@ -238,7 +262,7 @@ void mttkrp_csf_exec(const MttkrpModePlan& mp,
 
 /// Computes the mode-\p mode MTTKRP over a CSF set into \p out
 /// (dims[mode] x rank). Selects representation, kernel level, and sync
-/// strategy exactly as SPLATT does; applies the workspace's row-access
+/// strategy (choose_sync_strategy()); applies the workspace's row-access
 /// policy inside the kernels. \p out is zeroed first.
 void mttkrp(const CsfSet& csf_set, const std::vector<la::Matrix>& factors,
             int mode, la::Matrix& out, MttkrpWorkspace& ws);

@@ -6,7 +6,7 @@
 /// to replicate per thread: each worker accumulates into a private copy and
 /// the copies are summed afterwards. This is the "no-lock" path the paper's
 /// NELL-2 runs always take (Section V-D2). The privatize-or-lock decision
-/// itself lives in mttkrp/ (see mttkrp::should_privatize).
+/// itself lives in mttkrp/ (see choose_sync_strategy).
 ///
 /// Backend note: clear() and reduce_into() launch their strided passes
 /// through parallel_region, so they route through whichever backend
@@ -16,6 +16,7 @@
 /// fixed index order, which is what makes privatized runs bitwise
 /// comparable across omp and pool at a fixed team size.
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -52,12 +53,23 @@ class PrivateBuffers {
             static_cast<std::size_t>(length_)};
   }
 
-  /// Zeroes every buffer (parallel).
-  void clear(int nthreads) {
+  /// Zeroes the first \p used values of every buffer (parallel): the
+  /// prefix a caller writes and reduces when it serves a shorter output
+  /// than the bank was sized for. Values past the prefix are left as is.
+  void clear(nnz_t used, int nthreads) {
+    SPTD_CHECK(used <= length_, "clear: prefix longer than buffers");
+    // One index space over the nthreads_ prefixes, cut into team blocks;
+    // a block may span the end of one prefix and the start of the next.
+    const nnz_t total = static_cast<nnz_t>(nthreads_) * used;
     parallel_region(nthreads, [&](int tid, int nt) {
-      const Range r = block_partition(storage_.size(), nt, tid);
-      std::memset(storage_.data() + r.begin, 0,
-                  static_cast<std::size_t>(r.size()) * sizeof(val_t));
+      const Range r = block_partition(total, nt, tid);
+      for (nnz_t i = r.begin; i < r.end;) {
+        const nnz_t offset = i % used;
+        const nnz_t n = std::min(r.end - i, used - offset);
+        std::memset(storage_.data() + (i / used) * length_ + offset, 0,
+                    static_cast<std::size_t>(n) * sizeof(val_t));
+        i += n;
+      }
     });
   }
 

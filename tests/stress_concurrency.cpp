@@ -596,7 +596,7 @@ TEST(PoolBackendStress, PrivatizedReductionBitwiseUnderPoolTeams) {
   PoolBackendSection section;
   const nnz_t length = 512;
   PrivateBuffers bufs(kThreads, length);
-  bufs.clear(kThreads);
+  bufs.clear(length, kThreads);
   parallel_region(kThreads, [&](int tid, int) {
     std::span<val_t> mine = bufs.buffer(tid);
     for (nnz_t i = 0; i < length; ++i) {

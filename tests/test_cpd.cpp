@@ -256,6 +256,9 @@ TEST_P(VariantEquivalenceTest, SameFitAsReference) {
   ref.max_iterations = 5;
   ref.tolerance = 0.0;
   ref.nthreads = nthreads;
+  // The variants differ in lock kind: pin the locked deposits so the
+  // multi-thread cases compare them whatever the default sync rule picks.
+  ref.force_locks = true;
   apply_impl_variant(find_impl_variant("c"), ref);
   CpalsOptions other = ref;
   apply_impl_variant(find_impl_variant(name), other);

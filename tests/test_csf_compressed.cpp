@@ -265,6 +265,7 @@ TEST(CsfCompressedMttkrp, MatchesWideUnderGenericRowAccess) {
     opts.nthreads = 2;
     opts.row_access = ra;
     opts.use_fixed_kernels = false;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     expect_layout_equivalence(base, 8, opts,
                               std::string("row access ") +
                                   row_access_name(ra));
@@ -281,12 +282,16 @@ TEST(CsfCompressedMttkrp, MatchesWideOnBoundaryWidthTensors) {
   // Large-dim + large-nnz: leaf fids u32, deepest fptr u32 — the typed
   // (u32, u32) fast path.
   const SparseTensor huge = make_tensor({20, 50, 70000}, 70000, 25);
+  // Each typed view under the default plan and under pinned locks.
   for (const SparseTensor* t : {&boundary, &tall, &huge}) {
     for (const idx_t rank : {8u, 16u}) {
-      MttkrpOptions opts;
-      opts.nthreads = 3;
-      opts.schedule = SchedulePolicy::kWeighted;
-      expect_layout_equivalence(*t, rank, opts, "boundary tensor");
+      for (const bool locks : {false, true}) {
+        MttkrpOptions opts;
+        opts.nthreads = 3;
+        opts.schedule = SchedulePolicy::kWeighted;
+        opts.force_locks = locks;
+        expect_layout_equivalence(*t, rank, opts, "boundary tensor");
+      }
     }
   }
 }
@@ -296,6 +301,7 @@ TEST(CsfCompressedMttkrp, MatchesWideUnderTwoAndAllModePolicies) {
   for (const auto policy : {CsfPolicy::kTwoMode, CsfPolicy::kAllMode}) {
     MttkrpOptions opts;
     opts.nthreads = 3;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     expect_layout_equivalence(base, 16, opts, "policy sweep", policy);
   }
 }
@@ -304,6 +310,7 @@ TEST(CsfCompressedMttkrp, MatchesWideOnOrder2And4) {
   for (const auto& dims : {dims_t{300, 500}, dims_t{20, 30, 40, 50}}) {
     MttkrpOptions opts;
     opts.nthreads = 2;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     expect_layout_equivalence(make_tensor(dims, 2500, 26), 8, opts,
                               "order " + std::to_string(dims.size()));
   }
@@ -318,6 +325,7 @@ TEST(CsfCompressedCpals, FitAndFactorsMatchWide) {
   opts.max_iterations = 5;
   opts.tolerance = 0.0;
   opts.nthreads = 2;
+  opts.force_locks = true;  // the locked sinks, whatever the default rule
   SparseTensor tc = base;
   SparseTensor tw = base;
   opts.csf_layout = CsfLayout::kCompressed;

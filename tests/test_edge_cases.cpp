@@ -105,6 +105,7 @@ TEST(DegenerateShapes, SingleSliceMode) {
   const CsfSet set(sorted, CsfPolicy::kTwoMode, 2);
   MttkrpOptions mo;
   mo.nthreads = 2;
+  mo.force_locks = true;  // the locked sinks, whatever the default rule
   MttkrpWorkspace ws(mo, 4, 3);
   for (int mode = 0; mode < 3; ++mode) {
     la::Matrix out(t.dim(mode), 4);
@@ -129,6 +130,7 @@ TEST(DegenerateShapes, MoreThreadsThanSlices) {
   opts.max_iterations = 3;
   opts.tolerance = 0.0;
   opts.nthreads = 16;  // vastly oversubscribed relative to 3 slices
+  opts.force_locks = true;  // the locked sinks, whatever the default rule
   const CpalsResult r = cp_als(t, opts);
   EXPECT_TRUE(std::isfinite(r.fit_history.back()));
 }

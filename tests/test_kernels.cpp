@@ -162,6 +162,7 @@ TEST(KernelEquivalence, PlanDispatchMatchesPlanless) {
     const CsfSet set(sorted, CsfPolicy::kTwoMode, 2);
     MttkrpOptions opts;
     opts.nthreads = 2;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     MttkrpPlan plan(set, rank, opts);
     MttkrpWorkspace ws(opts, rank, 3);
     for (int mode = 0; mode < 3; ++mode) {

@@ -65,15 +65,17 @@ TEST(SyncStrategyNames, AreStable) {
 TEST(ChooseSync, RootLevelNeverSynchronizes) {
   MttkrpOptions opts;
   opts.nthreads = 32;
-  EXPECT_EQ(choose_sync_strategy({100, 100, 100}, 0, /*level=*/0, 1000, opts),
-            SyncStrategy::kNone);
+  EXPECT_EQ(
+      choose_sync_strategy({100, 100, 100}, 0, /*level=*/0, 1000, 1000, opts),
+      SyncStrategy::kNone);
 }
 
 TEST(ChooseSync, SingleThreadNeverSynchronizes) {
   MttkrpOptions opts;
   opts.nthreads = 1;
-  EXPECT_EQ(choose_sync_strategy({100, 100, 100}, 1, /*level=*/1, 1000, opts),
-            SyncStrategy::kNone);
+  EXPECT_EQ(
+      choose_sync_strategy({100, 100, 100}, 1, /*level=*/1, 1000, 1000, opts),
+      SyncStrategy::kNone);
 }
 
 TEST(ChooseSync, YelpShapeLocksBeyondTwoThreads) {
@@ -82,14 +84,15 @@ TEST(ChooseSync, YelpShapeLocksBeyondTwoThreads) {
   const dims_t yelp = {41000, 11000, 75000};
   const nnz_t nnz = 8000000;
   MttkrpOptions opts;
+  opts.privatization_threshold = 0.02;  // SPLATT's heuristic
   opts.nthreads = 2;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
+  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, nnz, opts),
             SyncStrategy::kPrivatize);
   opts.nthreads = 4;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
+  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, nnz, opts),
             SyncStrategy::kLock);
   opts.nthreads = 32;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
+  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, nnz, opts),
             SyncStrategy::kLock);
 }
 
@@ -100,17 +103,77 @@ TEST(ChooseSync, Nell2ShapeNeverLocks) {
   MttkrpOptions opts;
   for (const int t : {2, 4, 8, 16, 32}) {
     opts.nthreads = t;
-    EXPECT_EQ(choose_sync_strategy(nell2, 0, 1, nnz, opts),
+    EXPECT_EQ(choose_sync_strategy(nell2, 0, 1, nnz, nnz, opts),
               SyncStrategy::kPrivatize)
         << t << " threads";
   }
+}
+
+TEST(ChooseSync, YelpLockMixedShapePrivatizesByDefault) {
+  // yelp@0.3's mode lengths at 1.0M nnz (zipf 0.6): mode 0 sits at level 1
+  // over 905,268 fibers. SPLATT's rule locks it (2 * 12300 > 0.02 * 1e6);
+  // the fiber-count rule privatizes at 2 and 4 threads.
+  const dims_t shape = {12300, 3300, 22500};
+  const nnz_t nnz = 1000000;
+  const nnz_t fibers = 905268;
+  MttkrpOptions opts;
+  for (const int t : {2, 4}) {
+    opts.nthreads = t;
+    EXPECT_EQ(choose_sync_strategy(shape, 0, 1, nnz, fibers, opts),
+              SyncStrategy::kPrivatize)
+        << t << " threads";
+  }
+  opts.nthreads = 2;
+  opts.privatization_threshold = 0.02;
+  EXPECT_EQ(choose_sync_strategy(shape, 0, 1, nnz, fibers, opts),
+            SyncStrategy::kLock);
+}
+
+TEST(ChooseSync, TooFewFibersLock) {
+  // (T + 1) * dims[m] against k * nfibers(L): 5 * 5000 rows of replicas
+  // pay off only over at least 25000 / k fibers.
+  const dims_t dims = {1000, 5000, 100};
+  const nnz_t nnz = 10000000;  // SPLATT's rule would privatize
+  const auto even = static_cast<nnz_t>(25000 / kPrivatizeFiberFactor);
+  MttkrpOptions opts;
+  opts.nthreads = 4;
+  EXPECT_EQ(choose_sync_strategy(dims, 1, 1, nnz, even, opts),
+            SyncStrategy::kPrivatize);
+  EXPECT_EQ(choose_sync_strategy(dims, 1, 1, nnz, even - 1, opts),
+            SyncStrategy::kLock);
+  EXPECT_EQ(choose_sync_strategy(dims, 1, 1, nnz, 2000, opts),
+            SyncStrategy::kLock);
+}
+
+TEST(ChooseSync, LeafLevelCountsNonzeros) {
+  // One CSF, T = 2: the level-1 mode (6 rows) has too few fibers to
+  // privatize, while the leaf mode (60 rows) counts one deposit per
+  // nonzero, which is more than its parent level's fiber count allows.
+  const Fixture fx({4, 6, 60}, 600, 4, 900);
+  const auto mode_order = csf_mode_order(fx.coo.dims(), 0);
+  SparseTensor sorted = fx.coo;
+  sort_tensor_perm(sorted, mode_order, 1);
+  const CsfTensor csf(sorted, mode_order);
+  ASSERT_EQ(csf.mode_at_level(1), 1);
+  ASSERT_EQ(csf.mode_at_level(2), 2);
+  ASSERT_EQ(csf.nfibers(2), csf.nnz());
+
+  MttkrpOptions opts;
+  opts.nthreads = 2;
+  const double k = kPrivatizeFiberFactor;
+  ASSERT_GT(3.0 * 6, k * static_cast<double>(csf.nfibers(1)));
+  EXPECT_EQ(plan_mode(csf, 1, fx.rank, opts).strategy, SyncStrategy::kLock);
+  ASSERT_GT(3.0 * 60, k * static_cast<double>(csf.nfibers(1)));
+  ASSERT_LE(3.0 * 60, k * static_cast<double>(csf.nnz()));
+  EXPECT_EQ(plan_mode(csf, 2, fx.rank, opts).strategy,
+            SyncStrategy::kPrivatize);
 }
 
 TEST(ChooseSync, ForceLocksOverridesPrivatization) {
   MttkrpOptions opts;
   opts.nthreads = 4;
   opts.force_locks = true;
-  EXPECT_EQ(choose_sync_strategy({10, 10, 10}, 0, 1, 1000000, opts),
+  EXPECT_EQ(choose_sync_strategy({10, 10, 10}, 0, 1, 1000000, 1000000, opts),
             SyncStrategy::kLock);
 }
 
@@ -118,7 +181,7 @@ TEST(ChooseSync, DisallowedPrivatizationFallsBackToLocks) {
   MttkrpOptions opts;
   opts.nthreads = 4;
   opts.allow_privatization = false;
-  EXPECT_EQ(choose_sync_strategy({10, 10, 10}, 0, 1, 1000000, opts),
+  EXPECT_EQ(choose_sync_strategy({10, 10, 10}, 0, 1, 1000000, 1000000, opts),
             SyncStrategy::kLock);
 }
 
@@ -215,10 +278,10 @@ INSTANTIATE_TEST_SUITE_P(KernelSweep, CsfMttkrpTest,
 // ------------------------------------------------- higher-order kernels
 
 class HigherOrderTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int, bool>> {};
 
 TEST_P(HigherOrderTest, MatchesDenseOracle) {
-  const auto [order, out_mode, nthreads] = GetParam();
+  const auto [order, out_mode, nthreads, force_locks] = GetParam();
   dims_t dims;
   std::uint64_t volume = 1;
   for (int m = 0; m < order; ++m) {
@@ -238,6 +301,7 @@ TEST_P(HigherOrderTest, MatchesDenseOracle) {
 
   MttkrpOptions opts;
   opts.nthreads = nthreads;
+  opts.force_locks = force_locks;
   MttkrpWorkspace ws(opts, fx.rank, order);
   la::Matrix out(fx.coo.dim(mode), fx.rank);
   mttkrp_csf(csf, fx.factors, mode, out, ws);
@@ -248,7 +312,8 @@ INSTANTIATE_TEST_SUITE_P(
     OrdersModes, HigherOrderTest,
     ::testing::Combine(::testing::Values(2, 4, 5, 6),
                        ::testing::Values(0, 1, 2),
-                       ::testing::Values(1, 4)));
+                       ::testing::Values(1, 4),
+                       ::testing::Bool()));  // default plan, pinned locks
 
 // ------------------------------------------------------------- CsfSet
 
@@ -296,6 +361,34 @@ TEST(Workspace, ReusedAcrossModesAndSizes) {
     la::Matrix out(fx.coo.dim(mode), fx.rank);
     mttkrp(set, fx.factors, mode, out, ws);
     EXPECT_LT(out.max_abs_diff(fx.oracle(mode)), kTol) << "mode " << mode;
+  }
+}
+
+TEST(Workspace, PlanReusesOneBankAcrossPrivatizedModeLengths) {
+  // The plan sizes one privatized bank for its longest mode; a shorter
+  // mode zeroes and reduces only its own prefix of each thread's buffer.
+  // Longest, shorter, longest again: no stale row may leak either way.
+  Fixture fx({5, 40, 14, 27}, 1500, 6, 950);
+  SparseTensor work = fx.coo;
+  const CsfSet set(work, CsfPolicy::kOneMode, 3);
+  MttkrpOptions opts;
+  opts.nthreads = 3;
+  opts.privatization_threshold = 1e9;  // every non-root mode privatizes
+  MttkrpPlan plan(set, fx.rank, opts);
+  std::vector<int> privatized;
+  for (int m = 0; m < 4; ++m) {
+    if (plan.mode_plan(m).strategy == SyncStrategy::kPrivatize) {
+      privatized.push_back(m);
+    }
+  }
+  ASSERT_GE(privatized.size(), 2u);
+  MttkrpOptions serial;
+  for (const int mode : {1, 2, 3, 1, 3, 2}) {
+    la::Matrix out(fx.coo.dim(mode), fx.rank);
+    plan.execute(fx.factors, mode, out);
+    la::Matrix ref(fx.coo.dim(mode), fx.rank);
+    mttkrp_coo(fx.coo, fx.factors, mode, ref, serial);
+    EXPECT_LT(out.max_abs_diff(ref), kTol) << "mode " << mode;
   }
 }
 
@@ -462,6 +555,7 @@ TEST(WorkStealingMttkrp, CachedPlanSecondIterationVisitsAllSlices) {
   MttkrpOptions opts;
   opts.nthreads = 4;
   opts.schedule = SchedulePolicy::kWorkStealing;
+  opts.force_locks = true;  // the locked sinks, whatever the default rule
   MttkrpPlan plan(set, fx.rank, opts);
   for (int mode = 0; mode < 3; ++mode) {
     const la::Matrix expected = fx.oracle(mode);

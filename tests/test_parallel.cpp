@@ -285,12 +285,39 @@ TEST(PrivateBuffers, ClearZeroesEverything) {
   PrivateBuffers pb(2, 8);
   pb.buffer(0)[3] = 7.0;
   pb.buffer(1)[5] = 9.0;
-  pb.clear(2);
+  pb.clear(pb.length(), 2);
   for (int t = 0; t < 2; ++t) {
     for (const val_t v : pb.buffer(t)) {
       EXPECT_EQ(v, 0.0);
     }
   }
+}
+
+TEST(PrivateBuffers, ClearZeroesOnlyThePrefix) {
+  // Each thread's first `used` values are zeroed, whatever the team size
+  // of the clearing region; what lies past them is left untouched.
+  constexpr int kThreads = 3;
+  constexpr nnz_t kLen = 10;
+  for (const nnz_t used : {nnz_t{0}, nnz_t{1}, nnz_t{7}, kLen}) {
+    for (const int team : {1, 2, 4}) {
+      PrivateBuffers pb(kThreads, kLen);
+      for (int t = 0; t < kThreads; ++t) {
+        for (val_t& v : pb.buffer(t)) {
+          v = 1.0;
+        }
+      }
+      pb.clear(used, team);
+      for (int t = 0; t < kThreads; ++t) {
+        for (nnz_t i = 0; i < kLen; ++i) {
+          EXPECT_EQ(pb.buffer(t)[i], i < used ? 0.0 : 1.0)
+              << "used " << used << " team " << team << " thread " << t
+              << " index " << i;
+        }
+      }
+    }
+  }
+  PrivateBuffers pb(2, 4);
+  EXPECT_THROW(pb.clear(5, 1), Error);
 }
 
 TEST(PrivateBuffers, ReduceLongerThanBuffersThrows) {

@@ -77,6 +77,7 @@ TEST_P(FitIdentityTest, ReportedFitMatchesRecomputed) {
   opts.max_iterations = 6;
   opts.tolerance = 0.0;
   opts.nthreads = 2;
+  opts.force_locks = true;  // the locked sinks, whatever the default rule
   const CpalsResult r = cp_als(x, opts);
   const double recomputed = r.model.fit_to(original, 2);
   EXPECT_NEAR(r.fit_history.back(), recomputed, 1e-8);

@@ -435,6 +435,7 @@ TEST(MttkrpPlan, HotLoopPerformsZeroPlanningCalls) {
   CsfSet set(x, CsfPolicy::kTwoMode, 2);
   MttkrpOptions opts;
   opts.nthreads = 4;
+  opts.force_locks = true;  // the locked sinks, whatever the default rule
   const idx_t rank = 5;
   const auto factors = plan_factors(x, rank);
   MttkrpPlan plan(set, rank, opts);
@@ -466,6 +467,7 @@ TEST(CpalsPlan, PlanningCostIndependentOfIterationCount) {
     opts.nthreads = 2;
     opts.max_iterations = iterations;
     opts.tolerance = 0.0;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     const std::uint64_t p0 = weighted_partition_calls();
     const std::uint64_t c0 = choose_sync_strategy_calls();
     (void)cp_als_csf(set, norm_sq, opts);
@@ -491,6 +493,7 @@ TEST(CpalsPlan, SchedulePoliciesAgreeOnFit) {
     opts.max_iterations = 5;
     opts.tolerance = 0.0;
     opts.schedule = policy;
+    opts.force_locks = true;  // the locked sinks, whatever the default rule
     const CpalsResult r = cp_als(x, opts);
     ASSERT_EQ(r.fit_history.size(), 5u);
     fits.push_back(r.fit_history.back());

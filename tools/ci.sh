@@ -121,6 +121,20 @@ grep -q "resumed from iteration" <<< "$IOFAIL_RESUME_OUT" \
   || { echo "ci: resume after torn checkpoint failed" >&2; exit 1; }
 echo "ci: fault-injection matrix recovered on every class"
 
+echo "== sync determinism gate: a 4-thread privatized run repeats bitwise =="
+# SPLATT's 0.02 * nnz rule locked the smoke tensor's level-1 mode at 4
+# threads; the fiber-count rule privatizes it. Privatized deposits reduce
+# in fixed thread order, so two identical 4-thread runs must write
+# byte-identical models. A mode that fell back to the mutex pool would
+# make the deposit order, and so the bits, timing-dependent.
+for RUN in a b; do
+  "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 12 \
+    --tolerance 0 --threads 4 --output "$RES_DIR/t4_$RUN.model" > /dev/null
+done
+cmp "$RES_DIR/t4_a.model" "$RES_DIR/t4_b.model" \
+  || { echo "ci: two 4-thread runs wrote different models" >&2; exit 1; }
+echo "ci: 4-thread privatized models are bitwise identical"
+
 echo "== index-view gate: compressed-layout models equal the wide layout's =="
 # The compressed layout runs the MTTKRP kernel table's narrow typed views
 # (or the erased fallback); the wide layout runs the (u32, u64) view. On
