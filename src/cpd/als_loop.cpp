@@ -153,7 +153,7 @@ void CpalsLoop::update_factor(CpalsState& s, int it, int mode,
   // The fit consumes the final mode's MTTKRP result; keep a copy before
   // the in-place solve overwrites it (M never involves the mode's own
   // factor, so the post-update fit identity still holds).
-  if (mode == order() - 1 && opts_.compute_fit) {
+  if (mode == order() - 1) {
     timers_.start(Routine::kFit);
     fit_m_ = out;
     timers_.stop(Routine::kFit);
@@ -208,7 +208,6 @@ void CpalsLoop::update_factor(CpalsState& s, int it, int mode,
 }
 
 double CpalsLoop::loss(CpalsState& s, bool /*corrupted*/) {
-  if (!opts_.compute_fit) return HealthMonitor::kNoLoss;
   // Fit (line 13): 1 - ||X - Z||_F / ||X||_F via the sparse identity.
   timers_.start(Routine::kFit);
   const val_t inner = fit_inner_product(fit_m_, s.factors.back(), s.lambda,
@@ -225,7 +224,6 @@ double CpalsLoop::loss(CpalsState& s, bool /*corrupted*/) {
 }
 
 bool CpalsLoop::accept(CpalsState& s, double /*loss*/, int it) {
-  if (!opts_.compute_fit) return false;
   s.fit_history.push_back(fit_);
   const bool stop = opts_.tolerance > 0.0 && it > 0 &&
                     std::abs(fit_ - s.prev_fit) < opts_.tolerance;

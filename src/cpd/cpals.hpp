@@ -64,10 +64,6 @@ struct CpalsOptions {
   /// building CSF/plan state; defaults from SPTD_BACKEND.
   ParallelBackendKind backend = default_parallel_backend();
 
-  /// Compute the fit every iteration even when tolerance == 0 (the fit is
-  /// one of the paper's timed routines, so the default keeps it on).
-  bool compute_fit = true;
-
   /// Non-negative CP (SPLATT's constrained CP): after each least-squares
   /// solve, project the factor onto the non-negative orthant before
   /// normalization. With non-negative data this yields parts-based,

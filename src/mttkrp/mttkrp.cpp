@@ -192,20 +192,20 @@ struct ErasedView {
 template <typename... Views>
 struct ViewList {};
 
-/// The wide layout's pair (u32 fids, u64 fptr) plus the erased fallback:
-/// the subset of the bundles whose narrow variants are not worth their
+/// Only the erased view: the bundles whose typed views are not worth their
 /// compile time (mixed generic, every f32 bundle, the slice/2d ablations).
-using WideViews = ViewList<TypedView<std::uint32_t, std::uint64_t>,
-                           ErasedView>;
+/// An erased row reads the same integers in the same order as a typed one,
+/// so only speed, never a result, depends on which row a mode gets.
+using ErasedViews = ViewList<ErasedView>;
 
-/// Every typed pair the compressed layout commonly produces, plus wide and
-/// erased: the f64 bundles and the mixed fixed-width bundles.
-using NarrowViews = ViewList<TypedView<std::uint8_t, std::uint16_t>,
-                             TypedView<std::uint16_t, std::uint16_t>,
-                             TypedView<std::uint16_t, std::uint32_t>,
-                             TypedView<std::uint32_t, std::uint32_t>,
-                             TypedView<std::uint32_t, std::uint64_t>,
-                             ErasedView>;
+/// The typed pairs large tensors land on, plus the erased fallback: the f64
+/// bundles and the mixed fixed-width bundles. A u16 deepest fptr caps the
+/// CSF at 65,535 nonzeros, where no kernel runs long enough for a typed
+/// view to pay for itself, so u16-fptr pairs take the erased row.
+using TypedViews = ViewList<TypedView<std::uint16_t, std::uint32_t>,
+                            TypedView<std::uint32_t, std::uint32_t>,
+                            TypedView<std::uint32_t, std::uint64_t>,
+                            ErasedView>;
 
 // ---------------------------------------------------------------------
 // Kernel bundles: the arithmetic of every length-R inner loop.
@@ -1178,20 +1178,20 @@ struct PrecisionTypes<Precision::kF32> {
 };
 
 /// The rows of one (precision, width): FixedKern<W> for an instantiated
-/// width, the generic pointer loops for W == 0. f64 runs every narrow
-/// view; mixed only on its fixed-width bundles (its production
-/// bandwidth-saving mode); f32, the ablation endpoint, never — the view
-/// subsets bound the instantiation count.
+/// width, the generic pointer loops for W == 0. Typed views go only where
+/// a large tensor's speed depends on them: f64, and mixed on its
+/// fixed-width bundles (its production bandwidth-saving mode). f32, the
+/// ablation endpoint, and mixed generic run the erased view alone.
 template <Precision P, idx_t W>
 constexpr auto precision_width_rows() {
   using Store = typename PrecisionTypes<P>::Store;
   using Accum = typename PrecisionTypes<P>::Accum;
   using K = std::conditional_t<W == 0, GenericKern<PointerAccess, Store, Accum>,
                                FixedKern<W, Store, Accum>>;
-  constexpr bool kNarrow =
+  constexpr bool kTyped =
       P == Precision::kF64 || (P == Precision::kMixed && W != 0);
   return kernel_rows<K, P, W>(
-      std::conditional_t<kNarrow, NarrowViews, WideViews>{});
+      std::conditional_t<kTyped, TypedViews, ErasedViews>{});
 }
 
 template <Precision P>
@@ -1210,12 +1210,20 @@ constexpr auto kKernelTable = concat_rows(precision_rows<Precision::kF64>(),
                                           precision_rows<Precision::kF32>());
 
 /// The slice/2d row-access ablations (paper Figs. 2-3): f64 generic loops
-/// over the wide or erased view, outside the production table.
+/// over the erased view, outside the production table.
 constexpr auto kSliceRows =
-    kernel_rows<GenericKern<SliceAccess>, Precision::kF64, 0>(WideViews{});
+    kernel_rows<GenericKern<SliceAccess>, Precision::kF64, 0>(ErasedViews{});
 constexpr auto kIndex2DRows =
     kernel_rows<GenericKern<Index2DAccess>, Precision::kF64, 0>(
-        WideViews{});
+        ErasedViews{});
+
+// Each row is a full MTTKRP instantiation and this file's compile time
+// grows with them; a view-list edit that adds rows must also update the
+// count in README "One kernel table" and the KernelTable test.
+static_assert(kKernelTable.size() == 60,
+              "kernel table row count changed: update README and tests");
+static_assert(kSliceRows.size() + kIndex2DRows.size() == 2,
+              "ablation row count changed: update README and tests");
 
 std::span<const KernelRow> rows_for(RowAccess ra) {
   switch (ra) {

@@ -185,10 +185,4 @@ bool SliceSchedule::claim_steal(int victim, std::uint32_t* chunk) const {
   }
 }
 
-ParallelContext::ParallelContext(int nthreads, SchedulePolicy policy)
-    : nthreads_(nthreads), policy_(policy) {
-  SPTD_CHECK(nthreads >= 1, "ParallelContext: nthreads must be >= 1");
-  init_parallel_runtime();
-}
-
 }  // namespace sptd

@@ -1,6 +1,6 @@
 #pragma once
 /// \file schedule.hpp
-/// \brief Pluggable slice-scheduling policies and the parallel context.
+/// \brief Pluggable slice-scheduling policies.
 ///
 /// The paper's central finding is that the *tasking layer* — how loop
 /// iterations map onto workers — dominates sparse MTTKRP performance. The
@@ -276,56 +276,6 @@ class SliceSchedule {
   // Launch-generation contract state (see enforce_reset_contract()).
   mutable std::atomic<std::uint64_t> generation_{0};
   mutable std::atomic<std::uint32_t> entries_{0};
-};
-
-/// The execution side of the plan layer: a fixed team size plus the
-/// scheduling policy its schedules are built with.
-///
-/// Both backends (parallel/backend.hpp) keep their worker pool alive
-/// between regions — libgomp's team under `omp`, the persistent
-/// std::thread pool under `pool` — so "owning" the team means pinning
-/// its size and runtime settings once (dynamic-threads off, nesting off,
-/// passive idle) instead of re-negotiating them per kernel call; every
-/// region this context launches reuses those workers.
-class ParallelContext {
- public:
-  explicit ParallelContext(int nthreads,
-                           SchedulePolicy policy = SchedulePolicy::kWeighted);
-
-  [[nodiscard]] int nthreads() const { return nthreads_; }
-  [[nodiscard]] SchedulePolicy policy() const { return policy_; }
-
-  /// Builds a schedule of [0, total) under this context's policy.
-  [[nodiscard]] SliceSchedule make_schedule(
-      nnz_t total, std::span<const nnz_t> weight_prefix = {}) const {
-    return SliceSchedule(policy_, total, weight_prefix, nthreads_);
-  }
-
-  /// Runs \p body(tid, nthreads) on the team (non-owning dispatch).
-  /// Forwards through TeamBodyRef explicitly: routing via the owning
-  /// cold-path parallel_region overload would allocate a type-erased
-  /// wrapper on every cached-plan iteration, exactly the regression the
-  /// std-function-hot-path lint rule (which covers src/parallel) exists
-  /// to catch.
-  template <typename F>
-  void run(F&& body) const {
-    detail::TeamBodyRef ref(body);
-    detail::parallel_region_ref(nthreads_, ref);
-  }
-
-  /// Runs \p fn(begin, end, tid) over every range of \p schedule.
-  template <typename Fn>
-  void run_scheduled(const SliceSchedule& schedule, Fn&& fn) const {
-    schedule.reset();
-    parallel_region(nthreads_, [&](int tid, int) {
-      schedule.for_ranges(
-          tid, [&](nnz_t begin, nnz_t end) { fn(begin, end, tid); });
-    });
-  }
-
- private:
-  int nthreads_;
-  SchedulePolicy policy_;
 };
 
 }  // namespace sptd

@@ -30,7 +30,6 @@ HealthIssue HealthMonitor::inspect(const std::vector<la::Matrix>& factors,
     if (!all_finite(f)) return HealthIssue::kNonFiniteFactor;
   }
 
-  if (loss == kNoLoss) return HealthIssue::kNone;
   if (!std::isfinite(loss)) return HealthIssue::kNonFiniteLoss;
 
   if (loss < best_loss_) {

@@ -30,14 +30,10 @@ class HealthMonitor {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Inspects one completed iteration. \p loss is a lower-is-better score
-  /// (1 - fit for decompositions, train RMSE for completion); pass NaN-free
-  /// +inf semantics by simply not calling observe_loss — use kNoLoss when
-  /// the run computes no fit. Returns the first issue found.
+  /// (1 - fit for decompositions, train RMSE for completion). Returns the
+  /// first issue found.
   HealthIssue inspect(const std::vector<la::Matrix>& factors,
                       const std::vector<val_t>& lambda, double loss);
-
-  /// Sentinel loss for runs that skip fit computation.
-  static constexpr double kNoLoss = -1.0;
 
   /// Seeds the loss trend from a restored history of losses (resume path),
   /// so divergence patience carries over a restart.

@@ -15,8 +15,7 @@
 /// the driver's histories. Its copy assignment is member-wise, so the
 /// last-good snapshot reuses its buffers. A Driver over State S supplies
 ///   double loss(S&, bool corrupted)  lower-is-better score of the swept
-///       state (HealthMonitor::kNoLoss when none); \p corrupted: the
-///       injector just overwrote factor entries
+///       state; \p corrupted: the injector just overwrote factor entries
 ///   bool accept(S&, double loss, int it)  records a healthy iteration
 ///       (history, stop rule); true stops the run
 ///   void fixup(S&)  restores the driver's invariants after

@@ -189,24 +189,21 @@ struct IndexPairCase {
 };
 
 /// Whether \p precision's bundle at kernel \p width has a typed view for
-/// the index pair: the wide pair everywhere; the narrow pairs on f64 and
-/// on the mixed fixed-width bundles only.
+/// the index pair: (u16, u32), (u32, u32) and (u32, u64), on f64 and on
+/// the mixed fixed-width bundles only. Every other case runs erased.
 bool has_typed_view(Precision precision, idx_t width, int fid, int ptr) {
-  if (fid == 4 && ptr == 8) {
-    return true;
-  }
-  const bool narrow_bundle =
+  const bool typed_bundle =
       precision == Precision::kF64 ||
       (precision == Precision::kMixed && width != 0);
-  const bool narrow_pair = (fid == 1 && ptr == 2) || (fid == 2 && ptr == 2) ||
-                           (fid == 2 && ptr == 4) || (fid == 4 && ptr == 4);
-  return narrow_bundle && narrow_pair;
+  const bool typed_pair = (fid == 2 && ptr == 4) ||
+                          (fid == 4 && ptr == 4) || (fid == 4 && ptr == 8);
+  return typed_bundle && typed_pair;
 }
 
 TEST(KernelTable, EveryPrecisionWidthAndIndexPairFreezesItsRow) {
   // Leaf dims 255/256/65535/65536 straddle the u8/u16/u32 fid cutoffs;
   // nnz 3000 vs 70000 puts the deepest fptr on either side of 65535.
-  // (1, 4) and (4, 2) are pairs no typed view covers.
+  // (1, 2), (2, 2), (1, 4) and (4, 2) are pairs no typed view covers.
   const IndexPairCase cases[] = {
       {{20, 30, 255}, 3000, CsfLayout::kCompressed, 1, 2},
       {{20, 30, 256}, 3000, CsfLayout::kCompressed, 2, 2},

@@ -1,6 +1,6 @@
 // Tests for the execution-plan layer: SchedulePolicy / SliceSchedule
-// partition invariants, ParallelContext dispatch, MttkrpPlan vs the
-// planless path, and the "hot loop does zero planning" guarantee.
+// partition invariants, team dispatch, MttkrpPlan vs the planless path,
+// and the "hot loop does zero planning" guarantee.
 
 #include <gtest/gtest.h>
 
@@ -311,23 +311,7 @@ TEST(SliceSchedule, MoreThreadsThanSlices) {
   }
 }
 
-// ----------------------------------------------------- parallel context
-
-TEST(ParallelContext, RunScheduledVisitsEveryIndex) {
-  const ParallelContext ctx(4, SchedulePolicy::kDynamic);
-  const SliceSchedule sched = ctx.make_schedule(257);
-  std::vector<std::atomic<int>> visits(257);
-  ctx.run_scheduled(sched, [&](nnz_t begin, nnz_t end, int tid) {
-    ASSERT_GE(tid, 0);
-    ASSERT_LT(tid, 4);
-    for (nnz_t s = begin; s < end; ++s) {
-      visits[static_cast<std::size_t>(s)].fetch_add(1);
-    }
-  });
-  for (const auto& v : visits) {
-    EXPECT_EQ(v.load(), 1);
-  }
-}
+// -------------------------------------------------------- team dispatch
 
 TEST(Team, TemplateOverloadRunsWithoutFunctionWrapper) {
   // The hot-path overload dispatches a mutable capturing lambda through a

@@ -136,8 +136,9 @@ cmp "$RES_DIR/t4_a.model" "$RES_DIR/t4_b.model" \
 echo "ci: 4-thread privatized models are bitwise identical"
 
 echo "== index-view gate: compressed-layout models equal the wide layout's =="
-# The compressed layout runs the MTTKRP kernel table's narrow typed views
-# (or the erased fallback); the wide layout runs the (u32, u64) view. On
+# The compressed layout runs the MTTKRP kernel table's narrower typed views
+# (or the erased fallback); the wide layout runs the (u32, u64) view where
+# the bundle has one and the erased view otherwise. On
 # one thread with a fixed iteration count every view must reproduce the
 # wide view's bits: f64 exact and padded widths, mixed, f32, the generic
 # tier (rank 17 pads to an uninstantiated width) and forced generic loops.
@@ -226,6 +227,11 @@ done
 if "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 2 \
   --dist-grid 1,1,1 --nonneg > /dev/null 2>&1; then
   echo "ci: --dist-grid silently accepted --nonneg" >&2
+  exit 1
+fi
+if "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 2 \
+  --dist-grid 1,1,1 --kernels fxed > /dev/null 2>&1; then
+  echo "ci: --dist-grid silently accepted --kernels fxed" >&2
   exit 1
 fi
 echo "ci: single-locale dist models equal cp_als; ignored flags refused"

@@ -1,6 +1,6 @@
 // Seeded violation: owning type-erased dispatch inside src/parallel —
-// the regression the std-function-hot-path rule caught in
-// ParallelContext::run, which routed cached-plan iterations through the
+// the regression the std-function-hot-path rule caught in a team
+// wrapper's run(), which routed cached-plan iterations through the
 // allocating cold-path overload instead of TeamBodyRef. Never compiled.
 
 #include <functional>
@@ -11,7 +11,7 @@ namespace fixture {
 struct Context {
   int nthreads = 4;
 
-  // The buggy shape of ParallelContext::run: taking (and so
+  // The buggy shape of that run(): taking (and so
   // constructing) an owning wrapper per launch allocates on every
   // cached-plan iteration.
   void run(const std::function<void(int, int)>& body) const {  // VIOLATION std-function-hot-path

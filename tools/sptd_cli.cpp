@@ -53,6 +53,15 @@ void store(const SparseTensor& t, const std::string& path) {
   }
 }
 
+/// The --kernels choice as use_fixed_kernels; any value but fixed|generic
+/// is refused.
+bool fixed_kernels_from_flag(const Options& cli, const char* cmd) {
+  const std::string k = cli.get_string("kernels");
+  SPTD_CHECK(k == "fixed" || k == "generic",
+             std::string(cmd) + ": --kernels must be fixed|generic");
+  return k == "fixed";
+}
+
 int cmd_stats(int argc, const char* const* argv) {
   Options cli("sptd stats", "print tensor statistics");
   cli.add("csf", "two", "CSF policy for the storage report: one|two|all");
@@ -282,7 +291,7 @@ int cmd_cpd(int argc, const char* const* argv) {
     dopts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     dopts.schedule = parse_schedule_policy(cli.get_string("schedule"));
     dopts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-    dopts.use_fixed_kernels = cli.get_string("kernels") == "fixed";
+    dopts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
     dopts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
     dopts.precision = parse_precision(cli.get_string("precision"));
     dopts.backend = parse_parallel_backend(cli.get_string("backend"));
@@ -329,12 +338,7 @@ int cmd_cpd(int argc, const char* const* argv) {
   opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
   SPTD_CHECK(opts.chunk_target >= 1,
              "cpd: --chunk must be >= 1 (claims per thread)");
-  {
-    const std::string k = cli.get_string("kernels");
-    SPTD_CHECK(k == "fixed" || k == "generic",
-               "cpd: --kernels must be fixed|generic");
-    opts.use_fixed_kernels = (k == "fixed");
-  }
+  opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
   opts.nonnegative = cli.get_bool("nonneg");
   opts.precision = parse_precision(cli.get_string("precision"));
   opts.backend = parse_parallel_backend(cli.get_string("backend"));
@@ -471,12 +475,7 @@ int cmd_complete(int argc, const char* const* argv) {
   opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
   SPTD_CHECK(opts.chunk_target >= 1,
              "complete: --chunk must be >= 1 (claims per thread)");
-  {
-    const std::string k = cli.get_string("kernels");
-    SPTD_CHECK(k == "fixed" || k == "generic",
-               "complete: --kernels must be fixed|generic");
-    opts.use_fixed_kernels = (k == "fixed");
-  }
+  opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "complete");
   opts.precision = parse_precision(cli.get_string("precision"));
   opts.backend = parse_parallel_backend(cli.get_string("backend"));
   opts.resilience = resilience_from_flags(cli);
