@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -417,15 +418,47 @@ CsfSet::CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
   }
 
   csfs_.reserve(orders.size());
-  for (const auto& ord : orders) {
+  const auto charge = [sort_seconds](auto&& sort) {
     WallTimer sort_timer;
     sort_timer.start();
-    sort_tensor_perm(coo, ord, nthreads, sort_variant);
+    sort();
     sort_timer.stop();
     if (sort_seconds != nullptr) {
       *sort_seconds += sort_timer.seconds();
     }
-    csfs_.emplace_back(coo, ord, layout);
+  };
+  if (sort_variant != SortVariant::kAllOpts) {
+    // Figure 1 ablation: every representation re-sorted by the variant.
+    for (const auto& ord : orders) {
+      charge([&] { sort_tensor_perm(coo, ord, nthreads, sort_variant); });
+      csfs_.emplace_back(coo, ord, layout);
+    }
+    return;
+  }
+
+  // Production path. Every csf_mode_order(dims, r) is r followed by the
+  // ascending order, so one stable pass keyed on r over the ascending-
+  // sorted COO gives it. Each root is derived from the ascending order,
+  // never from the previous root (chaining b then c would give (c,b,a)).
+  // The last representation's pass lands in coo, per the contract above.
+  // A build from coo frees the scratch first, so the build's own transient
+  // arrays take its place and peak memory stays at coo + one scratch copy
+  // + the CSFs.
+  const std::vector<int> ascending = csf_mode_order(dims, -1);
+  SparseTensor scratch;
+  charge([&] { stable_sort_perm(coo, ascending, nthreads, scratch); });
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    const std::vector<int>& ord = orders[i];
+    const bool last = i + 1 == orders.size();
+    if (ord != ascending) {
+      charge([&] {
+        stable_counting_pass(coo, scratch, ord.front(), nthreads);
+      });
+      if (last) std::swap(coo, scratch);
+    }
+    const bool from_coo = ord == ascending || last;
+    if (from_coo) scratch = SparseTensor();
+    csfs_.emplace_back(from_coo ? coo : scratch, ord, layout);
   }
 }
 

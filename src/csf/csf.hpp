@@ -258,10 +258,15 @@ class CsfSet {
  public:
   /// Sorts \p coo in place per representation and builds the set (its
   /// nonzero order on return is that of the last representation built).
-  /// \p sort_seconds, if non-null, accumulates time spent sorting (the
-  /// paper's "Sort" routine). \p sort_variant selects the paper's sorting
-  /// implementation variant (Figure 1). \p layout selects the index
-  /// stream widths of every representation.
+  /// Under SortVariant::kAllOpts (production) \p coo is sorted once into
+  /// the ascending order by stable_sort_perm, and every other
+  /// representation costs one stable_counting_pass keyed on its root;
+  /// duplicate coordinates keep their input order. The other variants are
+  /// the paper's Figure 1 ablation and re-sort per representation with
+  /// sort_tensor_perm. Both give the same CSFs on duplicate-free input.
+  /// \p sort_seconds, if non-null, accumulates time spent sorting, every
+  /// pass included (the paper's "Sort" routine). \p layout selects the
+  /// index stream widths of every representation.
   CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
          double* sort_seconds = nullptr,
          SortVariant sort_variant = SortVariant::kAllOpts,

@@ -1,9 +1,11 @@
 #include "sort/sort.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -196,7 +198,98 @@ class SliceSorter {
   bool heap_pivot_;
 };
 
+/// Checks \p perm against \p t, then reports whether there is nothing to
+/// sort: at most one nonzero, or the nonzeros already in \p perm order.
+/// The latter is one comparison pass (cheap next to the sort it skips);
+/// building a CSF representation over a COO that a previous build already
+/// ordered the same way exits here and counts a fast-path hit.
+bool already_sorted(const SparseTensor& t, std::span<const int> perm) {
+  SPTD_CHECK(static_cast<int>(perm.size()) == t.order(),
+             "sort_tensor_perm: permutation length mismatch");
+  for (const int m : perm) {
+    SPTD_CHECK(m >= 0 && m < t.order(), "sort_tensor_perm: mode out of range");
+  }
+  if (t.nnz() <= 1) return true;
+  if (!is_sorted_perm(t, perm)) return false;
+  g_sort_fastpath_hits.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 }  // namespace
+
+void stable_counting_pass(const SparseTensor& src, SparseTensor& dst,
+                          int key_mode, int nthreads) {
+  SPTD_CHECK(key_mode >= 0 && key_mode < src.order(),
+             "stable_counting_pass: key mode out of range");
+  SPTD_CHECK(&src != &dst, "stable_counting_pass: src and dst alias");
+  SPTD_CHECK(nthreads >= 1, "stable_counting_pass: nthreads must be >= 1");
+  const nnz_t nnz = src.nnz();
+  if (dst.dims() != src.dims() || dst.nnz() != nnz) {
+    dst = SparseTensor(src.dims());
+    dst.resize_nnz(nnz);
+  }
+  const int order = src.order();
+  const auto nslices = static_cast<std::size_t>(src.dim(key_mode));
+  const idx_t* key = src.ind(key_mode).data();
+
+  // Row tid holds block tid's count per slice, then its scatter cursors.
+  // Rows of tids the team does not reach stay zero.
+  std::vector<nnz_t> cursor(static_cast<std::size_t>(nthreads) * nslices, 0);
+  parallel_region(nthreads, [&](int tid, int nt) {
+    nnz_t* mine = cursor.data() + static_cast<std::size_t>(tid) * nslices;
+    const Range r = block_partition(nnz, nt, tid);
+    for (nnz_t x = r.begin; x < r.end; ++x) {
+      ++mine[key[x]];
+    }
+  });
+  nnz_t next = 0;
+  for (std::size_t s = 0; s < nslices; ++s) {
+    for (int tid = 0; tid < nthreads; ++tid) {
+      nnz_t& c = cursor[static_cast<std::size_t>(tid) * nslices + s];
+      const nnz_t count = c;
+      c = next;
+      next += count;
+    }
+  }
+
+  // Scatter a chunk at a time: destinations first, then one array after
+  // another, so each inner loop streams one input array.
+  const auto scatter = [](const auto* in, auto* out, const nnz_t* pos,
+                          nnz_t n) {
+    for (nnz_t i = 0; i < n; ++i) out[pos[i]] = in[i];
+  };
+  parallel_region(nthreads, [&](int tid, int nt) {
+    constexpr nnz_t kChunk = 2048;
+    std::array<nnz_t, kChunk> pos{};
+    nnz_t* mine = cursor.data() + static_cast<std::size_t>(tid) * nslices;
+    const Range r = block_partition(nnz, nt, tid);
+    for (nnz_t lo = r.begin; lo < r.end; lo += kChunk) {
+      const nnz_t n = std::min(kChunk, r.end - lo);
+      for (nnz_t i = 0; i < n; ++i) pos[i] = mine[key[lo + i]]++;
+      for (int m = 0; m < order; ++m) {
+        scatter(src.ind(m).data() + lo, dst.ind(m).data(), pos.data(), n);
+      }
+      scatter(src.vals().data() + lo, dst.vals().data(), pos.data(), n);
+    }
+  });
+}
+
+void stable_sort_perm(SparseTensor& t, std::span<const int> perm,
+                      int nthreads, SparseTensor& scratch) {
+  SPTD_CHECK(nthreads >= 1, "stable_sort_perm: nthreads must be >= 1");
+  if (already_sorted(t, perm)) return;
+  for (auto m = perm.rbegin(); m != perm.rend(); ++m) {
+    if (t.dim(*m) <= 1) continue;  // a one-slice key moves nothing
+    stable_counting_pass(t, scratch, *m, nthreads);
+    std::swap(t, scratch);
+  }
+}
+
+void stable_sort_perm(SparseTensor& t, std::span<const int> perm,
+                      int nthreads) {
+  SparseTensor scratch;
+  stable_sort_perm(t, perm, nthreads, scratch);
+}
 
 void sort_tensor(SparseTensor& t, int primary_mode, int nthreads,
                  SortVariant variant) {
@@ -208,26 +301,12 @@ void sort_tensor(SparseTensor& t, int primary_mode, int nthreads,
 
 void sort_tensor_perm(SparseTensor& t, std::span<const int> perm,
                       int nthreads, SortVariant variant) {
-  SPTD_CHECK(static_cast<int>(perm.size()) == t.order(),
-             "sort_tensor_perm: permutation length mismatch");
-  const int primary_mode = perm[0];
-  SPTD_CHECK(primary_mode >= 0 && primary_mode < t.order(),
-             "sort_tensor: primary mode out of range");
   SPTD_CHECK(nthreads >= 1, "sort_tensor: nthreads must be >= 1");
+  if (already_sorted(t, perm)) return;
+
   const nnz_t nnz = t.nnz();
-  if (nnz <= 1) return;
-
-  // Already-sorted fast path: one comparison pass over the nonzeros
-  // (cheap next to the counting sort + per-slice quicksorts it skips).
-  // Building a second CSF representation over a COO that a previous
-  // build already ordered the same way — the CsfSet one/two/all-mode
-  // policies, or repeated builds on the same tensor — exits here.
-  if (is_sorted_perm(t, perm)) {
-    g_sort_fastpath_hits.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
   const int order = t.order();
+  const int primary_mode = perm[0];
   const idx_t nslices = t.dim(primary_mode);
   const bool heap_pivot = (variant == SortVariant::kInitial ||
                            variant == SortVariant::kSlicesOpt);
@@ -235,52 +314,8 @@ void sort_tensor_perm(SparseTensor& t, std::span<const int> perm,
                               variant == SortVariant::kArrayOpt);
 
   // ---- Phase 1: stable parallel counting sort on the primary mode. ----
-  // Per-thread histograms -> global slice offsets -> scatter into scratch.
-  const auto nt_sz = static_cast<std::size_t>(nthreads);
-  std::vector<std::vector<nnz_t>> hist(nt_sz);
-  parallel_region(nthreads, [&](int tid, int nt) {
-    auto& h = hist[static_cast<std::size_t>(tid)];
-    h.assign(nslices, 0);
-    const Range r = block_partition(nnz, nt, tid);
-    const auto ind = t.ind(primary_mode);
-    for (nnz_t x = r.begin; x < r.end; ++x) {
-      ++h[ind[x]];
-    }
-  });
-
-  // Exclusive scan over (slice, thread) pairs: scatter offset for thread t
-  // within slice s is slice_start[s] + sum_{t'<t} hist[t'][s].
-  std::vector<nnz_t> slice_start(static_cast<std::size_t>(nslices) + 1, 0);
-  for (idx_t s = 0; s < nslices; ++s) {
-    nnz_t total = 0;
-    for (std::size_t th = 0; th < nt_sz; ++th) {
-      const nnz_t c = hist[th][s];
-      hist[th][s] = total;  // becomes the within-slice offset for thread th
-      total += c;
-    }
-    slice_start[s + 1] = slice_start[s] + total;
-  }
-
-  // Scratch buffers for the permuted tensor.
-  std::vector<std::vector<idx_t>> scratch_ind(static_cast<std::size_t>(order));
-  for (auto& v : scratch_ind) {
-    v.resize(nnz);
-  }
-  std::vector<val_t> scratch_val(nnz);
-
-  parallel_region(nthreads, [&](int tid, int nt) {
-    const Range r = block_partition(nnz, nt, tid);
-    const auto ind = t.ind(primary_mode);
-    auto& my_offsets = hist[static_cast<std::size_t>(tid)];
-    for (nnz_t x = r.begin; x < r.end; ++x) {
-      const idx_t s = ind[x];
-      const nnz_t dst = slice_start[s] + my_offsets[s]++;
-      for (int m = 0; m < order; ++m) {
-        scratch_ind[static_cast<std::size_t>(m)][dst] = t.ind(m)[x];
-      }
-      scratch_val[dst] = t.vals()[x];
-    }
-  });
+  SparseTensor scratch;
+  stable_counting_pass(t, scratch, primary_mode, nthreads);
 
   // ---- Phase 2: reassign scratch back into the tensor. ----
   if (copy_reassign) {
@@ -290,16 +325,16 @@ void sort_tensor_perm(SparseTensor& t, std::span<const int> perm,
     // (strided address computation + bounds check) instead of a flat
     // memcpy. Reproduced with the same descriptor-mediated element copy.
     for (int m = 0; m < order; ++m) {
-      chapel_slice_copy(t.ind(m).data(),
-                        scratch_ind[static_cast<std::size_t>(m)].data(),
-                        nnz);
+      chapel_slice_copy(t.ind(m).data(), scratch.ind(m).data(), nnz);
     }
-    chapel_slice_copy(t.vals().data(), scratch_val.data(), nnz);
+    chapel_slice_copy(t.vals().data(), scratch.vals().data(), nnz);
   } else {
     // Reference/optimized behaviour: O(1) pointer swap (the port's c_ptrTo
     // fix) — the permuted buffers become the tensor's storage.
-    t.swap_storage(scratch_ind, scratch_val);
+    std::swap(t, scratch);
   }
+  const std::vector<nnz_t> slice_start =
+      slice_nnz_prefix(t.ind(primary_mode), nslices);
 
   // ---- Phase 3: per-slice quicksort on the secondary modes. ----
   const std::vector<int> secondary(perm.begin() + 1, perm.end());

@@ -1,10 +1,23 @@
 #pragma once
 /// \file sort.hpp
-/// \brief SPLATT-style nonzero sorting: a parallel counting sort on the
-///        primary mode followed by per-slice quicksort on the remaining
-///        modes. CSF construction requires the tensor sorted this way.
+/// \brief Nonzero sorting for CSF construction, on two paths.
 ///
-/// This module also reproduces the paper's sorting performance study
+///  * Production (stable_sort_perm / stable_counting_pass): an LSD radix
+///    sort of stable parallel counting passes, one per mode, least
+///    significant first. CsfSet takes this path; because every
+///    csf_mode_order() is its root followed by the ascending order, each
+///    representation after the first costs one more pass.
+///  * Figure 1 ablation (sort_tensor / sort_tensor_perm): SPLATT's parallel
+///    counting sort on the primary mode followed by per-slice quicksort on
+///    the remaining modes, in the paper's four variants. CsfSet takes this
+///    path only for the three non-reference variants (`--impl
+///    chapel-initial`); bench_fig1_sort times it directly.
+///
+/// Both give the same order on duplicate-free input. Duplicate coordinates
+/// keep their input order on the production path; the quicksort leaves
+/// their order unspecified.
+///
+/// The ablation reproduces the paper's sorting performance study
 /// (Section V-C, Figure 1). The Chapel port's sort was ~8.7x slower than C
 /// for two concrete reasons, each individually toggleable here:
 ///
@@ -55,8 +68,31 @@ void sort_tensor_perm(SparseTensor& t, std::span<const int> perm,
                       int nthreads,
                       SortVariant variant = SortVariant::kAllOpts);
 
-/// Process-wide count of sort_tensor_perm() calls that exited through the
-/// already-sorted fast path (monotonic, relaxed).
+/// One stable counting pass keyed on mode \p key_mode: writes \p src's
+/// nonzeros into \p dst in ascending \p key_mode coordinate, ties in \p src
+/// order. Each of \p nthreads counts one block_partition block into its own
+/// histogram; the histograms are scanned slice-major, thread-minor (so a
+/// slice's share from block t lands after blocks < t, which keeps the pass
+/// stable), then every thread scatters its block. \p dst is reshaped to
+/// \p src's dims and nnz only when they differ, so a scratch tensor passed
+/// to every pass is allocated once.
+void stable_counting_pass(const SparseTensor& src, SparseTensor& dst,
+                          int key_mode, int nthreads);
+
+/// Sorts lexicographically by \p perm (\p perm[0] most significant) with
+/// one stable_counting_pass per mode, perm.back() first, ping-ponging
+/// between \p t and \p scratch (modes of length 1 are skipped). Shares
+/// sort_tensor_perm()'s already-sorted pre-scan and fast-path counter.
+/// Duplicate coordinates keep their input order.
+void stable_sort_perm(SparseTensor& t, std::span<const int> perm,
+                      int nthreads, SparseTensor& scratch);
+
+/// Same, with a scratch tensor of its own.
+void stable_sort_perm(SparseTensor& t, std::span<const int> perm,
+                      int nthreads);
+
+/// Process-wide count of sort_tensor_perm() / stable_sort_perm() calls
+/// that exited through the already-sorted fast path (monotonic, relaxed).
 std::uint64_t sort_fastpath_hits();
 
 /// The cyclic mode permutation sort_tensor uses: {m, m+1, ..., m-1}.

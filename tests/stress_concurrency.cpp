@@ -21,6 +21,7 @@
 #include <barrier>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "csf/csf.hpp"
 #include "la/matrix.hpp"
 #include "parallel/backend.hpp"
 #include "parallel/locks.hpp"
@@ -40,6 +42,7 @@
 #include "parallel/reduce.hpp"
 #include "parallel/schedule.hpp"
 #include "resilience/checkpoint.hpp"
+#include "tensor/synthetic.hpp"
 
 namespace sptd {
 namespace {
@@ -637,6 +640,46 @@ TEST(PoolBackendStress, NestedRegionsSerializeWithoutDeadlock) {
   }
   EXPECT_EQ(inner_runs.load(), kRounds * kThreads);
   EXPECT_EQ(bad.load(), 0);
+}
+
+// The production CsfSet sort on pool teams: each stable counting pass
+// fills per-thread histogram rows, scans them on the submitter, then
+// scatters every block into disjoint destination slots. A cursor row
+// shared between tids or a scatter slot written twice is a TSan race on
+// plain memory here, and a bitwise mismatch against the 1-thread build.
+TEST(PoolBackendStress, StableSortCsfSetBitwiseUnderPoolTeams) {
+  PoolBackendSection section;
+  const SparseTensor input = generate_synthetic(
+      {.dims = {300, 70, 500}, .nnz = 20000, .seed = 31,
+       .zipf_exponent = 0.8});
+  for (const auto policy : {CsfPolicy::kTwoMode, CsfPolicy::kAllMode}) {
+    SparseTensor serial_coo = input;
+    const CsfSet serial(serial_coo, policy, 1);
+    SparseTensor pool_coo = input;
+    const CsfSet pooled(pool_coo, policy, kThreads);
+    ASSERT_EQ(pooled.csfs().size(), serial.csfs().size());
+    for (std::size_t r = 0; r < serial.csfs().size(); ++r) {
+      const CsfTensor& a = pooled.csfs()[r];
+      const CsfTensor& b = serial.csfs()[r];
+      ASSERT_EQ(a.mode_order(), b.mode_order());
+      for (int l = 0; l < b.order(); ++l) {
+        ASSERT_EQ(a.nfibers(l), b.nfibers(l));
+        for (nnz_t f = 0; f < b.nfibers(l); ++f) {
+          ASSERT_EQ(a.fid(l, f), b.fid(l, f)) << "rep " << r << " level " << l;
+        }
+        for (nnz_t f = 0; l + 1 < b.order() && f <= b.nfibers(l); ++f) {
+          ASSERT_EQ(a.ptr(l, f), b.ptr(l, f)) << "rep " << r << " level " << l;
+        }
+      }
+      ASSERT_EQ(std::memcmp(a.vals().data(), b.vals().data(),
+                            b.nnz() * sizeof(val_t)),
+                0);
+    }
+    for (int m = 0; m < input.order(); ++m) {
+      ASSERT_TRUE(std::equal(pool_coo.ind(m).begin(), pool_coo.ind(m).end(),
+                             serial_coo.ind(m).begin()));
+    }
+  }
 }
 
 // The dist shm ring's release/acquire tag protocol, driven by one

@@ -195,6 +195,19 @@ cmp "$ING_DIR/t1.model" "$ING_DIR/t3.model"
 cmp "$ING_DIR/t1.model" "$ING_DIR/pool.model"
 echo "ci: ingest models are bitwise identical across team sizes and backends"
 
+# `sptd validate` counts duplicate coordinates after a stable sort: the
+# generator writes none, so the count must equal the lines re-appended.
+cp "$ING_DIR/multi.tns" "$ING_DIR/dup.tns"
+awk 'NR % 500 == 7' "$ING_DIR/multi.tns" >> "$ING_DIR/dup.tns"
+DUP_WANT="$(awk 'NR % 500 == 7' "$ING_DIR/multi.tns" | wc -l)"
+DUP_GOT="$("$BUILD_DIR/sptd" validate "$ING_DIR/dup.tns" |
+  sed -n 's/^duplicate coordinates: \([0-9]*\).*/\1/p')"
+if [ "$DUP_GOT" != "$DUP_WANT" ]; then
+  echo "ci: validate counted $DUP_GOT duplicates, expected $DUP_WANT" >&2
+  exit 1
+fi
+echo "ci: validate counts $DUP_GOT injected duplicate coordinates"
+
 echo "== dist smoke: shm transport matches sim bitwise =="
 # The fork-per-locale shared-memory transport must reproduce the
 # in-process simulation exactly (both sum partials in locale order, one

@@ -164,11 +164,12 @@ int cmd_validate(int argc, const char* const* argv) {
       load(cli.positional().front(), cli.get_bool("skip-bad-lines"));
   t.validate();  // throws on out-of-range indices / non-finite values
 
-  // Duplicate coordinates (legal but usually an upstream bug).
+  // Duplicate coordinates (legal but usually an upstream bug): any
+  // lexicographic order puts them next to each other.
   SparseTensor sorted = t;
-  sort_tensor(sorted, 0, hardware_threads());
-  nnz_t duplicates = 0;
   const std::vector<int> perm = sort_mode_order(sorted.order(), 0);
+  stable_sort_perm(sorted, perm, hardware_threads());
+  nnz_t duplicates = 0;
   for (nnz_t x = 1; x < sorted.nnz(); ++x) {
     bool same = true;
     for (const int m : perm) {
