@@ -9,9 +9,7 @@
 /// `--transport sim` (the default) reports the modeled volume only;
 /// `--transport shm` runs real forked locales over the shared-memory ring
 /// and reports the measured bytes/seconds next to the model. The fit is
-/// transport-independent (bitwise at one thread per locale), so the same
-/// baseline records pair across transports by the `transport` identity
-/// field.
+/// transport-independent (bitwise at one thread per locale).
 
 #include <cstdio>
 

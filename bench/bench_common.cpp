@@ -200,13 +200,11 @@ void emit_json_record(const Options& cli, const char* bench,
       .field("chunk", cli.get_int("chunk"))
       .field("kernels", cli.get_string("kernels"))
       .field("csf_layout", cli.get_string("csf-layout"))
-      // Identity: pool and omp runs of the same config are different
-      // executions (different team launch machinery) and must pair with
-      // their own baseline rows.
+      // Pool and omp runs of the same config are different executions
+      // (different team launch machinery).
       .field("backend", cli.get_string("backend"))
-      // Identity, not a counter: a checkpointed run and a plain run are
-      // different configurations and must pair separately, so checkpoint
-      // overhead never reads as a perf regression of the plain config.
+      // A checkpointed run and a plain run are different configurations:
+      // checkpoint overhead must never read as the plain config's cost.
       .field("checkpoint_every", cli.get_int("checkpoint-every"));
   if (!record.has("precision")) {
     // Precision sweeps (the precision ablation) set a per-record value;
@@ -227,8 +225,8 @@ void emit_json_record(const Options& cli, const char* bench,
     // measurement just taken, warm-up included. Benches emit one record
     // per measurement, so the process-wide counter delta attributes the
     // steals without threading a meter through every harness. Always 0
-    // under the non-stealing policies. bench_compare.py treats this as a
-    // counter (reported, excluded from record identity).
+    // under the non-stealing policies. A diagnostic, not a measurement:
+    // it varies run to run.
     static std::uint64_t last_steals = 0;
     const std::uint64_t now = work_steal_count();
     full.field("steals", static_cast<std::int64_t>(now - last_steals));

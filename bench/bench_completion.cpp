@@ -7,10 +7,7 @@
 /// end: split a synthetic ratings tensor, run each solver over the thread
 /// sweep, and report wall time plus train/holdout RMSE. With --json each
 /// (alg, threads) measurement appends one record carrying the `alg`
-/// field, which is part of the record's identity in
-/// tools/bench_compare.py — so solver runs gate independently — while
-/// iterations/best_iteration ride as counters and the RMSE fields as
-/// quality metrics.
+/// field, the RMSEs and the iteration counts.
 ///
 ///   $ ./bench_completion --preset yelp --scale 0.01 --alg-list als,sgd,ccd
 ///
@@ -108,8 +105,7 @@ int main(int argc, char** argv) {
       timer.stop();
       const double seconds = timer.seconds() / trials;
       // The slice-aware split can hand back an empty holdout on
-      // degenerate inputs; 0 then reads as "no validation" (and
-      // bench_compare skips ratio checks on non-positive baselines).
+      // degenerate inputs; 0 then reads as "no validation".
       const double val =
           last.val_rmse.empty() ? 0.0 : last.val_rmse.back();
       std::printf("%-6s %8d %10.4f %12.4f %12.4f %6d\n", alg_name.c_str(),

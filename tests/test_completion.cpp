@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "completion/completion.hpp"
@@ -150,6 +151,48 @@ TEST(Completion, RecoversHeldOutEntriesOfLowRankTensor) {
   // demonstrates real completion.
   EXPECT_LT(r.train_rmse.back(), 0.02);
   EXPECT_LT(r.val_rmse.back(), 0.05);
+}
+
+TEST(Completion, SmokeRmseStaysWithinFourTimesRecorded) {
+  // The completion smoke (bench_completion --preset yelp --scale 0.005
+  // --rank 8 --iters 5 --threads-list 1,2). Each solver's train and
+  // holdout RMSE must stay within 4x of the value that smoke recorded,
+  // and train RMSE below 0.5: the data is low-rank with O(1) values, so
+  // past that a solver has diverged or gone inert.
+  const auto cfg = find_preset("yelp").scaled(0.005, 42);
+  const SparseTensor full = generate_low_rank(cfg.dims, 4, cfg.nnz, 0.05, 42);
+  const auto [train, test] = split_train_test(full, 0.2, 43);
+  struct Recorded {
+    CompletionAlgorithm alg;
+    int nthreads;
+    double train_rmse;
+    double val_rmse;
+  };
+  const Recorded recorded[] = {
+      {CompletionAlgorithm::kAls, 1, 0.046178162, 0.0569196239},
+      {CompletionAlgorithm::kAls, 2, 0.046178162, 0.0569196239},
+      {CompletionAlgorithm::kSgd, 1, 0.144506454, 0.150229462},
+      {CompletionAlgorithm::kSgd, 2, 0.144539296, 0.150328594},
+      {CompletionAlgorithm::kCcd, 1, 0.0509042377, 0.0610033391},
+      {CompletionAlgorithm::kCcd, 2, 0.0509042377, 0.0610033391},
+  };
+  for (const Recorded& row : recorded) {
+    CompletionOptions opts;
+    opts.algorithm = row.alg;
+    opts.nthreads = row.nthreads;
+    opts.rank = 8;
+    opts.max_iterations = 5;
+    opts.tolerance = 0.0;
+    opts.regularization = 1e-3;
+    opts.seed = 44;
+    const CompletionResult r = complete_tensor(train, &test, opts);
+    const std::string what = std::string(completion_algorithm_name(row.alg)) +
+                             " x" + std::to_string(row.nthreads);
+    ASSERT_FALSE(r.val_rmse.empty()) << what;
+    EXPECT_LE(r.train_rmse.back(), std::min(4.0 * row.train_rmse, 0.5))
+        << what;
+    EXPECT_LE(r.val_rmse.back(), 4.0 * row.val_rmse) << what;
+  }
 }
 
 TEST(Completion, TrainRmseDecreases) {

@@ -163,6 +163,18 @@ TEST(CsfCompressed, SetReportsLayoutAndShrinks) {
   EXPECT_EQ(comp.layout(), CsfLayout::kCompressed);
   EXPECT_EQ(wide.layout(), CsfLayout::kWide);
   EXPECT_LT(comp.memory_bytes(), wide.memory_bytes());
+
+  // The bench smoke's tensor (yelp @ 0.002, seed 42): both footprints are
+  // exact, so a change that re-widens one index stream fails here.
+  const auto cfg = find_preset("yelp").scaled(0.002, 42);
+  SparseTensor yc = generate_synthetic(cfg);
+  SparseTensor yw = yc;
+  const CsfSet ycomp(yc, CsfPolicy::kTwoMode, 2, nullptr,
+                     SortVariant::kAllOpts, CsfLayout::kCompressed);
+  const CsfSet ywide(yw, CsfPolicy::kTwoMode, 2, nullptr,
+                     SortVariant::kAllOpts, CsfLayout::kWide);
+  EXPECT_EQ(ycomp.memory_bytes(), 322469u);
+  EXPECT_EQ(ywide.memory_bytes(), 516692u);
 }
 
 TEST(CsfCompressed, StatsReportPerLevelWidthsAndBytes) {

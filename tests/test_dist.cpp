@@ -10,6 +10,7 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include <unistd.h>
 
@@ -239,6 +240,37 @@ TEST(Dist, BalancedGridMovesFewerBytesThanFlat) {
   const auto flat = predict_comm_volume(dims, {8, 1, 1}, rank);
   const auto cube = predict_comm_volume(dims, {2, 2, 2}, rank);
   EXPECT_LT(cube.total(), flat.total());
+}
+
+TEST(Dist, SmokeGridVolumesArePinned) {
+  // The dist-grid ablation's smoke (yelp @ 0.002, seed 42, rank 8, three
+  // iterations). Each grid's modeled halo volume is exact. So is what the
+  // transports physically move: nothing in process, and over shm the
+  // same padded ring volume for every grid shape.
+  const SparseTensor x =
+      generate_synthetic(find_preset("yelp").scaled(0.002, 42));
+  const std::pair<dims_t, std::uint64_t> grid_bytes[] = {
+      {{8, 1, 1}, 575232}, {{1, 8, 1}, 623616}, {{1, 1, 8}, 392448},
+      {{4, 2, 1}, 508416}, {{2, 2, 2}, 340992},
+  };
+  for (const auto [transport, moved] :
+       {std::pair{TransportKind::kSim, std::uint64_t{0}},
+        std::pair{TransportKind::kShm, std::uint64_t{795648}}}) {
+    for (const auto& [grid, modeled] : grid_bytes) {
+      DistOptions opts;
+      opts.grid = grid;
+      opts.rank = 8;
+      opts.max_iterations = 3;
+      opts.transport = transport;
+      const DistResult r = dist_cp_als(x, opts);
+      const std::string what = std::string(transport_name(transport)) +
+                               " " + std::to_string(grid[0]) + "x" +
+                               std::to_string(grid[1]) + "x" +
+                               std::to_string(grid[2]);
+      EXPECT_EQ(r.comm.total(), modeled) << what;
+      EXPECT_EQ(r.comm_measured.total_bytes(), moved) << what;
+    }
+  }
 }
 
 TEST(Dist, PredictionFormula) {

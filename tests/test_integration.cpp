@@ -6,10 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "cpd/cpals.hpp"
 #include "csf/csf.hpp"
 #include "mttkrp/mttkrp.hpp"
+#include "parallel/backend.hpp"
 #include "tensor/io.hpp"
 #include "tensor/stats.hpp"
 #include "tensor/synthetic.hpp"
@@ -107,9 +111,10 @@ TEST(Integration, ThreadCountDoesNotChangeConvergence) {
 }
 
 TEST(Integration, PresetPipelineSmallScale) {
-  // The bench pipeline end-to-end at a tiny scale: preset -> synthesize ->
-  // stats -> decompose with each implementation variant.
-  const auto cfg = find_preset("yelp").scaled(0.002);
+  // The bench pipeline end-to-end at the bench smoke's scale and seed:
+  // preset -> synthesize -> stats -> decompose with each implementation
+  // variant.
+  const auto cfg = find_preset("yelp").scaled(0.002, 42);
   SparseTensor t = generate_synthetic(cfg);
   const TensorStats stats = compute_stats(t);
   EXPECT_EQ(stats.nnz, cfg.nnz);
@@ -126,6 +131,40 @@ TEST(Integration, PresetPipelineSmallScale) {
     EXPECT_EQ(r.iterations, 2) << variant.name;
     EXPECT_TRUE(std::isfinite(r.fit_history.back())) << variant.name;
   }
+
+  // The Figure 5 smoke's configurations (rank 35, 2 iterations, 2
+  // threads). Backend, implementation and CSF layout change how a sweep
+  // runs, never its arithmetic: every fit is bitwise the first one's,
+  // and the reported CSF footprint is the layout's exact byte count.
+  const ParallelBackendKind prior = parallel_backend();
+  std::optional<double> reference_fit;
+  for (const auto backend :
+       {ParallelBackendKind::kOmp, ParallelBackendKind::kPool}) {
+    for (const char* impl : {"c", "chapel-optimize"}) {
+      for (const auto [layout, csf_bytes] :
+           {std::pair{CsfLayout::kCompressed, std::uint64_t{322469}},
+            std::pair{CsfLayout::kWide, std::uint64_t{516692}}}) {
+        SparseTensor work = t;
+        CpalsOptions opts;
+        opts.rank = 35;
+        opts.max_iterations = 2;
+        opts.tolerance = 0.0;
+        opts.nthreads = 2;
+        apply_impl_variant(find_impl_variant(impl), opts);
+        opts.csf_layout = layout;
+        opts.backend = backend;
+        const CpalsResult r = cp_als(work, opts);
+        const std::string what = std::string(parallel_backend_name(backend)) +
+                                 "/" + impl + "/" + csf_layout_name(layout);
+        EXPECT_EQ(r.csf_bytes, csf_bytes) << what;
+        if (!reference_fit) {
+          reference_fit = r.fit_history.back();
+        }
+        EXPECT_EQ(r.fit_history.back(), *reference_fit) << what;
+      }
+    }
+  }
+  set_parallel_backend(prior);
 }
 
 TEST(Integration, RemoveEmptySlicesThenDecompose) {

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "completion/completion.hpp"
@@ -18,6 +19,7 @@
 #include "cpd/kruskal.hpp"
 #include "csf/csf.hpp"
 #include "la/matrix.hpp"
+#include "mttkrp/mttkrp.hpp"
 #include "mttkrp/plan.hpp"
 #include "tensor/synthetic.hpp"
 #include "tucker/tucker.hpp"
@@ -27,6 +29,14 @@ namespace {
 
 constexpr double kMixedFitTol = 1e-6;
 constexpr double kF32FitTol = 1e-3;
+
+// Sanitizer builds compile at -O1 and reduce in a different order, so
+// fit gaps recorded on the optimized build do not carry over to them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kOptimizedArithmetic = false;
+#else
+constexpr bool kOptimizedArithmetic = true;
+#endif
 
 double final_fit(SparseTensor x, const CpalsOptions& opts) {
   const CpalsResult r = cp_als(x, opts);
@@ -188,6 +198,53 @@ TEST(PrecisionBytes, NarrowStreamsHalveValueBytes) {
   const CpalsResult r = cp_als(trial, opts);
   EXPECT_EQ(r.value_bytes, set.value_bytes(Precision::kMixed));
   EXPECT_GT(r.csf_bytes, 0u);
+}
+
+TEST(PrecisionBytes, SmokeTensorBytesWidthsAndFitGaps) {
+  // The precision ablation's smoke (yelp @ 0.002, seed 42, rank 8, five
+  // iterations, two threads). Value-stream bytes and kernel widths are
+  // exact. Each narrow fit stays within 4x of the gap from f64 that smoke
+  // recorded on the optimized build (mixed 5.05e-10, f32 2.81e-10); a
+  // sanitizer build holds the precision ladder instead.
+  const SparseTensor x =
+      generate_synthetic(find_preset("yelp").scaled(0.002, 42));
+  struct Expected {
+    Precision precision;
+    std::uint64_t value_bytes;
+    double max_fit_gap;
+  };
+  const Expected expected[] = {
+      {Precision::kF64, 256000, 0.0},
+      {Precision::kMixed, 128000, kOptimizedArithmetic ? 2.0e-9 : kMixedFitTol},
+      {Precision::kF32, 128000, kOptimizedArithmetic ? 1.1e-9 : kF32FitTol},
+  };
+  CpalsOptions opts;
+  opts.rank = 8;
+  opts.max_iterations = 5;
+  opts.tolerance = 0.0;
+  opts.nthreads = 2;
+  double f64_fit = 0.0;
+  for (const Expected& e : expected) {
+    opts.precision = e.precision;
+    SparseTensor work = x;
+    const CpalsResult r = cp_als(work, opts);
+    const char* what = precision_name(e.precision);
+    EXPECT_EQ(r.csf_bytes, 322469u) << what;
+    EXPECT_EQ(r.value_bytes, e.value_bytes) << what;
+    if (e.precision == Precision::kF64) {
+      f64_fit = r.fit_history.back();
+    }
+    EXPECT_LE(std::abs(r.fit_history.back() - f64_fit), e.max_fit_gap)
+        << what;
+    // The widths the smoke's ranks select: rank 35 pads to 40.
+    MttkrpOptions mo;
+    mo.precision = e.precision;
+    for (const auto [rank, width] :
+         {std::pair{35u, 40u}, std::pair{16u, 16u}, std::pair{8u, 8u}}) {
+      EXPECT_EQ(selected_kernel_width(rank, mo), width)
+          << what << " rank " << rank;
+    }
+  }
 }
 
 // ------------------------------------------- degenerate conditioning

@@ -40,20 +40,6 @@ CI instead of waiting for a reviewer to remember it. The rules:
                         iteration core (resilience/iteration.hpp); a
                         driver that sequences these calls itself is a
                         copy of it that will drift.
-  bench-field-registry  every .field("name" emitted by bench/ must
-                        appear in one of tools/bench_compare.py's
-                        registries (DEFAULT_METRICS,
-                        DEFAULT_DEFICIT_METRICS, DEFAULT_COUNTERS,
-                        KNOWN_IDENTITY_FIELDS). An unregistered field
-                        silently becomes part of record identity; if it
-                        varies run to run, the record never pairs with
-                        its baseline and the gate checks nothing.
-                        The reverse holds too: an entry of
-                        DEFAULT_DEFICIT_METRICS, DEFAULT_COUNTERS or
-                        KNOWN_IDENTITY_FIELDS that no bench emits is
-                        dead schema left behind by a deleted bench.
-                        (DEFAULT_METRICS is exempt: its routine names
-                        come from routine_name(), not literals.)
 
 A violation a human has judged acceptable is waived at the site with a
 marker comment on the same line or the line above:
@@ -78,9 +64,6 @@ HOT_DIRS = ("src/csf", "src/la", "src/mttkrp", "src/parallel",
             "src/completion")
 
 ALLOW_RE = re.compile(r"sptd-lint:\s*allow\(([a-z0-9-]+)\)")
-
-REGISTRY_LISTS = ("DEFAULT_METRICS", "DEFAULT_DEFICIT_METRICS",
-                  "DEFAULT_COUNTERS", "KNOWN_IDENTITY_FIELDS")
 
 
 class Finding:
@@ -138,7 +121,6 @@ STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
 # "thread" or "jthread" immediately.
 STD_THREAD_RE = re.compile(r"\bstd::j?thread\b")
 UNALIGNED_RE = re.compile(r"\bstd::vector<\s*(val_t|float)\s*>")
-FIELD_RE = re.compile(r'\.field\(\s*"([^"]+)"')
 PROTOCOL_RE = re.compile(
     r"\b(try_resume|fail_or_retry|note_healthy|checkpoint_due|"
     r"save_checkpoint|seed_trend|perturb_factors)\s*\(")
@@ -148,7 +130,7 @@ def in_dir(rel, top):
     return rel == top or rel.startswith(top.rstrip("/") + "/")
 
 
-def lint_sources(root):
+def lint(root):
     findings = []
     for rel in iter_source_files(root, "src"):
         lines = read_lines(root, rel)
@@ -189,67 +171,10 @@ def lint_sources(root):
     return findings
 
 
-def registry_entries(root):
-    """(list name, field, line number) for every entry of the four
-    registry lists in tools/bench_compare.py."""
-    path = os.path.join(root, "tools", "bench_compare.py")
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    entries = []
-    for name in REGISTRY_LISTS:
-        m = re.search(rf"^{name}\s*=\s*\[(.*?)\]", text,
-                      re.DOTALL | re.MULTILINE)
-        if m is None:
-            raise SystemExit(
-                f"{path}: registry list {name} not found; "
-                "sptd_lint.py and bench_compare.py are out of sync")
-        for e in re.finditer(r'"([^"]+)"', m.group(1)):
-            lineno = text.count("\n", 0, m.start(1) + e.start()) + 1
-            entries.append((name, e.group(1), lineno))
-    return entries
-
-
-def lint_bench_fields(root):
-    findings = []
-    entries = registry_entries(root)
-    registered = {field for _, field, _ in entries}
-    emitted = set()
-    for rel in iter_source_files(root, "bench"):
-        lines = read_lines(root, rel)
-        for idx, line in enumerate(lines):
-            for m in FIELD_RE.finditer(line):
-                name = m.group(1)
-                emitted.add(name)
-                if name in registered:
-                    continue
-                if allowed("bench-field-registry", lines, idx):
-                    continue
-                findings.append(Finding(
-                    "bench-field-registry", rel, idx + 1,
-                    f'bench field "{name}" is not registered in '
-                    "tools/bench_compare.py (metric, deficit metric, "
-                    "counter, or KNOWN_IDENTITY_FIELDS)"))
-    # The other direction: an entry no bench emits any more is dead
-    # schema. DEFAULT_METRICS is exempt because the routine names in it
-    # are emitted through routine_name(), never as .field literals.
-    for name, field, lineno in entries:
-        if name == "DEFAULT_METRICS" or field in emitted:
-            continue
-        findings.append(Finding(
-            "bench-field-registry", "tools/bench_compare.py", lineno,
-            f'{name} entry "{field}" is emitted by no bench/ '
-            ".field literal: drop the stale registration"))
-    return findings
-
-
-def lint(root):
-    return lint_sources(root) + lint_bench_fields(root)
-
-
 # --self-test: every (rule, relative-path) pair that MUST be reported
 # when linting tools/lint_fixtures/, with the count of findings expected
 # in that file. The fixtures also seed allow-marked and exempt sites
-# (omp simd, registered fields) that must NOT be reported; the
+# (omp simd) that must NOT be reported; the
 # exact-match check below catches both missed violations and false
 # positives.
 EXPECTED_FIXTURE_FINDINGS = {
@@ -258,8 +183,6 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("std-function-hot-path", "src/parallel/fixture_context.cpp"): 1,
     ("unaligned-value-array", "src/csf/fixture_storage.cpp"): 2,
     ("resilience-protocol", "src/cpd/fixture_driver.cpp"): 3,
-    ("bench-field-registry", "bench/bench_fixture.cpp"): 1,
-    ("bench-field-registry", "tools/bench_compare.py"): 1,
 }
 
 
