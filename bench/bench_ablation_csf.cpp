@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: CSF policy (one/two/all) ==\n");
   SparseTensor base = make_dataset(cli.get_string("preset"),

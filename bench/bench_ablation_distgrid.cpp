@@ -30,11 +30,6 @@ int main(int argc, char** argv) {
   }
   const TransportKind transport =
       parse_transport(cli.get_string("transport"));
-  if (transport != TransportKind::kShm) {
-    // The shm launcher forks per locale; a live thread pool does not
-    // survive fork, so the runtime only spins up for in-process runs.
-    init_parallel_runtime();
-  }
 
   std::printf("== Ablation: distributed locale-grid shape (8 locales) ==\n");
   SparseTensor x = make_dataset(cli.get_string("preset"),

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: oversubscription (Section V-E analogue) ==\n");
   std::printf("# hardware threads: %d\n", hardware_threads());

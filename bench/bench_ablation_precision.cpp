@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: value-stream precision (f64/f32/mixed) ==\n");
   SparseTensor base = make_dataset(cli.get_string("preset"),

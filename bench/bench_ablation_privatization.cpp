@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: synchronization strategy for non-root MTTKRP "
               "==\n");

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: rank sweep ==\n");
   SparseTensor x = make_dataset(cli.get_string("preset"),

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: slice relabeling and MTTKRP locality ==\n");
   const auto preset = find_preset(cli.get_string("preset"));

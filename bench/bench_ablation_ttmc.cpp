@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Ablation: TTMc over COO vs CSF ==\n");
   SparseTensor x = make_dataset(cli.get_string("preset"),

@@ -74,9 +74,7 @@ ParallelBackendKind backend_flag(const Options& cli) {
 }
 
 int chunk_flag(const Options& cli) {
-  const auto chunk = cli.get_int("chunk");
-  SPTD_CHECK(chunk >= 1, "--chunk must be >= 1 (claims per thread)");
-  return static_cast<int>(chunk);
+  return cli.get_int_at_least("chunk", 1);
 }
 
 void apply_kernel_flags(const Options& cli, MttkrpOptions& opts) {

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   }
   const int fig1_trials = std::max(3, static_cast<int>(
       cli.get_int("trials")));
-  init_parallel_runtime();
 
   std::printf("== Figure 1: sorting runtime by variant (%s) ==\n",
               cli.get_string("preset").c_str());

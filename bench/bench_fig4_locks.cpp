@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Figure 4: sync vs atomic vs fifo-sync locks (%s) ==\n",
               cli.get_string("preset").c_str());

@@ -21,7 +21,6 @@ int run_rowaccess_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== %s: MTTKRP row-access ablation ==\n", fig_label);
   SparseTensor x = make_dataset(cli.get_string("preset"),
@@ -87,7 +86,6 @@ int run_routines_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== %s: per-routine CP-ALS runtimes ==\n", fig_label);
   const SparseTensor x = make_dataset(cli.get_string("preset"),
@@ -157,7 +155,6 @@ int run_scaling_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== %s: MTTKRP scaling across implementations ==\n",
               fig_label);

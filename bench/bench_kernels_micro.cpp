@@ -351,7 +351,6 @@ void run_primitive_cases() {
 }  // namespace
 
 int main() {
-  init_parallel_runtime();
   std::printf("# bench_kernels_micro (fallback harness; install "
               "google-benchmark for the full one)\n");
 

@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  init_parallel_runtime();
 
   std::printf("== Table III: CP-ALS routine runtimes, C vs initial port ==\n");
   const auto threads = cli.get_int_list("threads-list");

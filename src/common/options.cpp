@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -80,6 +81,14 @@ std::int64_t Options::get_int(const std::string& name) const {
   return v;
 }
 
+int Options::get_int_at_least(const std::string& name, int lo) const {
+  const std::int64_t v = get_int(name);
+  SPTD_CHECK(v >= lo && v <= std::numeric_limits<int>::max(),
+             "option --" + name + " must be an int >= " + std::to_string(lo) +
+                 ", got " + std::to_string(v));
+  return static_cast<int>(v);
+}
+
 double Options::get_double(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
@@ -107,6 +116,9 @@ std::vector<int> Options::get_int_list(const std::string& name) const {
     const long v = std::strtol(tok.c_str(), &end, 10);
     SPTD_CHECK(end != tok.c_str() && *end == '\0',
                "option --" + name + " expects integers, got '" + tok + "'");
+    SPTD_CHECK(v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max(),
+               "option --" + name + " entry out of int range: '" + tok + "'");
     out.push_back(static_cast<int>(v));
   }
   SPTD_CHECK(!out.empty(), "option --" + name + " list is empty");

@@ -37,10 +37,14 @@ class Options {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// get_int() narrowed to int once it is known to lie in [lo, INT_MAX];
+  /// any other value throws naming the option instead of wrapping.
+  [[nodiscard]] int get_int_at_least(const std::string& name, int lo) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
-  /// Parses a comma-separated integer list, e.g. "1,2,4,8,16,32".
+  /// Parses a comma-separated integer list, e.g. "1,2,4,8,16,32". An entry
+  /// outside int's range throws naming the option.
   [[nodiscard]] std::vector<int> get_int_list(const std::string& name) const;
 
   /// Positional arguments (everything not starting with --).

@@ -199,7 +199,6 @@ CompletionResult complete_tensor(const SparseTensor& train,
                "complete_tensor: validation order mismatch");
   }
   set_parallel_backend(options.backend);
-  init_parallel_runtime();
 
   // Per-mode slice views + schedules + solver state, built once (the
   // memory trade — one grouped copy per mode — is the same one SPLATT's

@@ -43,7 +43,6 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   SPTD_CHECK(options.max_iterations >= 1, "cp_als: need >= 1 iteration");
   SPTD_CHECK(options.nthreads >= 1, "cp_als: nthreads must be >= 1");
   set_parallel_backend(options.backend);
-  init_parallel_runtime();
 
   MttkrpOptions mopts;
   mopts.nthreads = options.nthreads;
@@ -86,7 +85,6 @@ CpalsResult cp_als(SparseTensor& tensor, const CpalsOptions& options) {
   SPTD_CHECK(tensor.nnz() > 0, "cp_als: empty tensor");
   // Backend first: CSF sorting below already runs parallel regions.
   set_parallel_backend(options.backend);
-  init_parallel_runtime();
   const val_t norm_sq = tensor.norm_sq();
 
   // Sort + CSF construction. Sorting is the paper's "Sort" routine and is

@@ -353,12 +353,6 @@ DistResult dist_cp_als(const SparseTensor& x, const DistOptions& options) {
                "with MPI available)");
   }
   set_parallel_backend(options.backend);
-  if (options.transport != TransportKind::kShm) {
-    // The shm launcher forks; a live thread pool does not survive fork,
-    // and every locale is single-threaded anyway, so the runtime is only
-    // initialized for the in-process transports.
-    init_parallel_runtime();
-  }
 
   dist::DistPartition part = dist::partition_tensor(x, options);
 

@@ -592,6 +592,9 @@ struct DirectSink {
   using A = typename K::Accum;
   using S = typename K::Store;
   la::Matrix* out;
+  /// The sink one team member deposits through: every thread shares the
+  /// output here.
+  DirectSink for_thread(int) const { return *this; }
   void add(idx_t row, const A* vec, idx_t rank) const {
     K::row_add(*out, row, vec, rank);
   }
@@ -622,6 +625,7 @@ struct LockedSink {
   using S = typename K::Store;
   la::Matrix* out;
   AnyMutexPool* pool;
+  LockedSink for_thread(int) const { return *this; }
   void add(idx_t row, const A* vec, idx_t rank) const {
     pool->lock(row);
     K::row_add(*out, row, vec, rank);
@@ -647,15 +651,22 @@ struct LockedSink {
   }
 };
 
-/// Per-thread privatized replica write: each thread's sink resolves its
-/// own buffer, laid out at the output's padded stride. The kernels hand
-/// one sink to every thread, so resolution happens per call.
+/// Per-thread privatized replica write: each thread deposits into its own
+/// buffer, laid out at the output's padded stride. The kernels hand one
+/// sink to the team; each region body binds its thread's replica once,
+/// from the tid it already holds, through for_thread().
 template <typename K>
 struct ThreadPrivSink {
   using A = typename K::Accum;
   using S = typename K::Store;
   PrivateBuffers* priv;
   idx_t stride;
+  val_t* base = nullptr;  // the bound thread's replica (for_thread)
+  ThreadPrivSink for_thread(int tid) const {
+    ThreadPrivSink bound = *this;
+    bound.base = priv->buffer(tid).data();
+    return bound;
+  }
   void add(idx_t row, const A* vec, idx_t rank) const {
     K::vec_add(resolve(row), vec, rank);
   }
@@ -671,15 +682,14 @@ struct ThreadPrivSink {
   void with_row(idx_t row, Fn&& fn) const {
     fn(resolve(row));
   }
-  /// No-op: resolving the replica costs a TLS lookup per call, and the
-  /// thread's own recently-written rows are usually cache-resident
-  /// anyway — a prefetch here is all overhead.
+  /// No-op: the thread's own recently-written replica rows are usually
+  /// cache-resident already.
   void prefetch(idx_t) const {}
 
  private:
   val_t* resolve(idx_t row) const {
-    return priv->buffer(current_thread_id()).data() +
-           static_cast<std::size_t>(row) * stride;
+    SPTD_DCHECK(base != nullptr, "ThreadPrivSink: deposit before for_thread");
+    return base + static_cast<std::size_t>(row) * stride;
   }
 };
 
@@ -777,11 +787,12 @@ void kernel_root(const Ctx& ctx, const Sink& sink,
       const auto& f2 = *ctx.factor_at_level[2];
       A* acc = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 0));
       A* cs = ctx.ws->template accum_as<A>(tid, cs_slot(ctx, 1));
+      const Sink tsink = sink.for_thread(tid);
       slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
         for (nnz_t s = begin; s < end; ++s) {
           K::root_slice3(acc, ctx.view, vals, f1, f2, fptr0[s],
                          fptr0[s + 1], cs, rank);
-          sink.add(fids0[s], acc, rank);
+          tsink.add(fids0[s], acc, rank);
         }
       });
     });
@@ -792,13 +803,14 @@ void kernel_root(const Ctx& ctx, const Sink& sink,
     const auto fids0 = ctx.view.fids[0];
     const auto fptr0 = ctx.view.fptr[0];
     A* acc = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 0));
+    const Sink tsink = sink.for_thread(tid);
     slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
       for (nnz_t s = begin; s < end; ++s) {
         std::memset(acc, 0, static_cast<std::size_t>(rank) * sizeof(A));
         for (nnz_t c = fptr0[s]; c < fptr0[s + 1]; ++c) {
           accumulate_g<K>(ctx, 1, c, acc, tid);
         }
-        sink.add(fids0[s], acc, rank);
+        tsink.add(fids0[s], acc, rank);
       }
     });
   });
@@ -829,6 +841,7 @@ void kernel_leaf(const Ctx& ctx, const Sink& sink,
       A* p0 = ctx.ws->template accum_as<A>(tid, path_slot(0));
       A* mine = ctx.ws->template accum_as<A>(tid, path_slot(1));
       A* tmp = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 1));
+      const Sink tsink = sink.for_thread(tid);
       slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
         for (nnz_t s = begin; s < end; ++s) {
           K::path_load(p0, f0, fids0[s], rank);
@@ -840,9 +853,9 @@ void kernel_leaf(const Ctx& ctx, const Sink& sink,
             for (nnz_t x = fptr1[c]; x < fptr1[c + 1]; ++x) {
               if (x + la::kern::kGatherPrefetch < x_horizon) {
                 K::sink_prefetch(
-                    sink, leaf_fids[x + la::kern::kGatherPrefetch]);
+                    tsink, leaf_fids[x + la::kern::kGatherPrefetch]);
               }
-              sink.add_scaled(leaf_fids[x], vals[x], mine, tmp, rank);
+              tsink.add_scaled(leaf_fids[x], vals[x], mine, tmp, rank);
             }
           }
         }
@@ -885,7 +898,8 @@ void kernel_leaf(const Ctx& ctx, const Sink& sink,
 
   parallel_region(nthreads, [&](int tid, int) {
     const auto fids0 = ctx.view.fids[0];
-    const Walker walker{ctx, sink, tid};
+    const Sink tsink = sink.for_thread(tid);
+    const Walker walker{ctx, tsink, tid};
     A* p0 = ctx.ws->template accum_as<A>(tid, path_slot(0));
     slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
       for (nnz_t s = begin; s < end; ++s) {
@@ -896,7 +910,7 @@ void kernel_leaf(const Ctx& ctx, const Sink& sink,
           A* tmp = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 1));
           for (nnz_t x = ctx.view.deep_fptr[s]; x < ctx.view.deep_fptr[s + 1];
                ++x) {
-            sink.add_scaled(ctx.view.leaf[x], vals[x], p0, tmp, rank);
+            tsink.add_scaled(ctx.view.leaf[x], vals[x], p0, tmp, rank);
           }
         } else {
           const auto fptr0 = ctx.view.fptr[0];
@@ -934,12 +948,13 @@ void kernel_internal(const Ctx& ctx, const Sink& sink,
       A* p0 = ctx.ws->template accum_as<A>(tid, path_slot(0));
       A* tmp = ctx.ws->template accum_as<A>(tid, extra_slot(ctx, 1));
       A* cs = ctx.ws->template accum_as<A>(tid, cs_slot(ctx, 1));
+      const Sink tsink = sink.for_thread(tid);
       slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
         for (nnz_t s = begin; s < end; ++s) {
           K::path_load(p0, f0, fids0[s], rank);
           const nnz_t x_horizon = fptr1[fptr0[s + 1]];
           for (nnz_t c = fptr0[s]; c < fptr0[s + 1]; ++c) {
-            K::internal_fiber3(sink, fids1[c], p0, vals, leaf_fids,
+            K::internal_fiber3(tsink, fids1[c], p0, vals, leaf_fids,
                                fptr1[c], fptr1[c + 1], x_horizon, f2, cs,
                                tmp, rank);
           }
@@ -998,7 +1013,8 @@ void kernel_internal(const Ctx& ctx, const Sink& sink,
   parallel_region(nthreads, [&](int tid, int) {
     const auto fids0 = ctx.view.fids[0];
     const auto fptr0 = ctx.view.fptr[0];
-    const Walker walker{ctx, sink, out_level, tid};
+    const Sink tsink = sink.for_thread(tid);
+    const Walker walker{ctx, tsink, out_level, tid};
     A* p0 = ctx.ws->template accum_as<A>(tid, path_slot(0));
     slices.for_ranges(tid, [&](nnz_t begin, nnz_t end) {
       for (nnz_t s = begin; s < end; ++s) {

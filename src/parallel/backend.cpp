@@ -33,20 +33,9 @@ std::atomic<int> g_backend_kind{-1};
 class OmpBackend final : public ParallelBackend {
  public:
   void run_team(int nthreads, detail::TeamBodyRef body) override {
-    // Idempotent; guarantees OMP_WAIT_POLICY=passive is latched before
-    // libgomp spins up its pool even if the caller skipped
-    // hardware_threads() (every CLI/bench path already funnels through
-    // it, so this is belt-and-braces, not a behavior change).
     init_parallel_runtime();
 #pragma omp parallel num_threads(nthreads)
     { body(omp_get_thread_num(), omp_get_num_threads()); }
-  }
-
-  [[nodiscard]] int team_rank() const override { return omp_get_thread_num(); }
-
-  int max_threads() override {
-    init_parallel_runtime();
-    return omp_get_max_threads();
   }
 };
 
@@ -60,16 +49,14 @@ class OmpBackend final : public ParallelBackend {
 // SPTD_TSAN_* annotations needed (contracts.hpp documents this split).
 // ---------------------------------------------------------------------------
 
-// Team rank of the pool tid this thread is currently running, and whether
-// it is inside a multi-thread pool region at all (nested regions
-// serialize, matching omp_set_max_active_levels(1)).
-thread_local int tls_pool_tid = 0;
+// Whether this thread is running a tid of a multi-thread pool region
+// (nested regions serialize, matching omp_set_max_active_levels(1)).
 thread_local bool tls_pool_in_team = false;
 
 // Brief spin before parking / before the submitter falls back to the
 // condvar. Tuned short: on a fork/join cadence the next region usually
-// arrives within this window, and the passive-wait contract demands we
-// yield the core quickly when it does not.
+// arrives within this window, and an idle worker should yield its core
+// quickly when it does not.
 constexpr int kSpinIters = 4096;
 
 inline void cpu_relax() {
@@ -121,11 +108,8 @@ class PoolBackend final : public ParallelBackend {
     if (tls_pool_in_team) {
       // Nested region: serialize, exactly like the omp backend under
       // omp_set_max_active_levels(1). The body observes tid 0 of a team
-      // of 1 (current_thread_id() included).
-      const int outer_tid = tls_pool_tid;
-      tls_pool_tid = 0;
+      // of 1.
       body(0, 1);
-      tls_pool_tid = outer_tid;
       return;
     }
     ensure_workers();
@@ -177,24 +161,11 @@ class PoolBackend final : public ParallelBackend {
     }
   }
 
-  [[nodiscard]] int team_rank() const override { return tls_pool_tid; }
-
-  int max_threads() override {
-    // Same query as the omp backend (honors OMP_NUM_THREADS), and the
-    // same ordering contract: init_parallel_runtime() latches the wait
-    // policy before this first OpenMP call.
-    init_parallel_runtime();
-    return omp_get_max_threads();
-  }
-
  private:
   static void run_tid(TeamTask& task, int tid) {
-    const int outer_tid = tls_pool_tid;
     const bool outer_in_team = tls_pool_in_team;
-    tls_pool_tid = tid;
     tls_pool_in_team = true;
     task.body(tid, task.nthreads);
-    tls_pool_tid = outer_tid;
     tls_pool_in_team = outer_in_team;
     task.done.fetch_add(1, std::memory_order_release);
   }
@@ -202,7 +173,7 @@ class PoolBackend final : public ParallelBackend {
   void ensure_workers() {
     std::lock_guard<std::mutex> lk(mu_);
     if (nworkers_ > 0) return;
-    int width = max_threads();
+    int width = hardware_threads();
     if (width < 1) width = 1;
     nworkers_ = width;
     slots_ = std::make_unique<WorkerSlot[]>(static_cast<std::size_t>(width));

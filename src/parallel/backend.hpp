@@ -8,21 +8,21 @@
 /// module makes the layer *underneath* the seam swappable too:
 ///
 ///  * omp  — the reference implementation: one
-///           `#pragma omp parallel num_threads(n)` per region, libgomp's
-///           persistent worker pool, OMP_WAIT_POLICY=passive latched by
-///           init_parallel_runtime() before the first OpenMP call
-///           (team.cpp owns that ordering contract). The default, and
+///           `#pragma omp parallel num_threads(n)` per region on
+///           libgomp's persistent worker pool. libgomp reads
+///           OMP_WAIT_POLICY once, when it loads, so idle workers park
+///           only if the launch environment sets it. The default, and
 ///           behavior-identical to the pre-backend tree.
 ///  * pool — a persistent std::thread worker pool owned by this module.
 ///           A region of n "team slots" (tids) is published to the pool;
 ///           the submitting thread and any idle workers claim tids from a
 ///           shared cursor until all n have run. Workers spin briefly
 ///           between regions, then park on a per-worker cache-line-padded
-///           futex word (std::atomic wait/notify) — the same
-///           passive-wait contract the omp backend gets from
-///           OMP_WAIT_POLICY=passive. Exact team sizes are honored:
-///           body(tid, n) runs once for every tid in [0, n), with tids
-///           multiplexed onto however many runners are actually free.
+///           futex word (std::atomic wait/notify), so idle workers
+///           yield their cores without any environment setting. Exact
+///           team sizes are honored: body(tid, n) runs once for every
+///           tid in [0, n), with tids multiplexed onto however many
+///           runners are actually free.
 ///
 /// That multiplexing is the composability story. Two decompositions in
 /// one process under the omp backend build two full OpenMP teams —
@@ -84,15 +84,6 @@ class ParallelBackend {
   /// parallel_region_ref inlines the single-thread case before
   /// dispatching (identically on every backend).
   virtual void run_team(int nthreads, detail::TeamBodyRef body) = 0;
-
-  /// The tid this thread is currently executing (0 outside a region).
-  [[nodiscard]] virtual int team_rank() const = 0;
-
-  /// Team-size default for "use all threads" (hardware_threads()). Both
-  /// backends honor OMP_NUM_THREADS so thread sweeps mean the same thing
-  /// regardless of backend; querying runs init_parallel_runtime() first,
-  /// preserving the wait-policy-before-first-OpenMP-call ordering.
-  virtual int max_threads() = 0;
 };
 
 /// The backend parallel_backend() currently names. Backends are

@@ -26,7 +26,7 @@
 /// where depending on libgomp for the hottest lock would be absurd — it
 /// is `FutexLock`, a spin-then-park mutex on a std::atomic word (the
 /// std::thread analogue of omp_lock_t: brief spin, then a futex sleep,
-/// matching the passive-wait contract). The flavor is captured when the
+/// like the pool's idle workers). The flavor is captured when the
 /// pool is constructed, which is why drivers apply `--backend` before
 /// building workspaces.
 ///

@@ -1,7 +1,5 @@
 #include "parallel/team.hpp"
 
-#include <cstdlib>
-
 #include <omp.h>
 
 #include "common/error.hpp"
@@ -9,31 +7,10 @@
 
 namespace sptd {
 
-int hardware_threads() {
-  // Routed through the active backend. Both backends answer with
-  // omp_get_max_threads() (so OMP_NUM_THREADS means the same thing
-  // everywhere) and both call init_parallel_runtime() first: querying
-  // OpenMP initializes libgomp, which latches OMP_WAIT_POLICY forever —
-  // the runtime setup (which sets that env var) must win the race.
-  // Before this ordering existed, every CLI path that sized its team
-  // from hardware_threads() silently lost the passive-wait mitigation.
-  return active_parallel_backend().max_threads();
-}
+int hardware_threads() { return omp_get_max_threads(); }
 
 void init_parallel_runtime() {
-  // Idle OpenMP workers spin-wait by default (libgomp spins ~300k
-  // iterations before sleeping). On oversubscribed machines the spinning
-  // workers of a finished phase steal cycles from the next one — exactly
-  // the Qthreads/OpenMP interference the paper diagnoses in Section V-E
-  // and mitigates with QT_SPINCOUNT=300. Prefer parked idle workers; a
-  // user-set OMP_WAIT_POLICY wins (overwrite=0). Only effective when the
-  // setenv happens before the OpenMP runtime initializes, so this runs
-  // once, before the first omp_* call of the process (hardware_threads()
-  // and every other entry point funnel through here first). The pool
-  // backend preserves the same ordering: its max_threads() query and the
-  // omp backend's team launch both pass through here first.
   static const bool once = [] {
-    setenv("OMP_WAIT_POLICY", "passive", /*overwrite=*/0);
     omp_set_dynamic(0);
     // Nested parallelism is never used by the kernels; benches sweep team
     // sizes explicitly. Keeping nesting off avoids accidental explosion
@@ -43,13 +20,6 @@ void init_parallel_runtime() {
     return true;
   }();
   (void)once;
-}
-
-void parallel_region(
-    int nthreads,
-    // sptd-lint: allow(std-function-hot-path) cold-path overload by design
-    const std::function<void(int, int)>& body) {
-  detail::parallel_region_ref(nthreads, detail::TeamBodyRef(body));
 }
 
 namespace detail {
@@ -68,7 +38,5 @@ void parallel_region_ref(int nthreads, TeamBodyRef body) {
 }
 
 }  // namespace detail
-
-int current_thread_id() { return active_parallel_backend().team_rank(); }
 
 }  // namespace sptd

@@ -12,36 +12,21 @@
 /// persistent std::thread pool (`--backend pool`).
 
 #include <concepts>
-#include <functional>
+#include <type_traits>
 
 namespace sptd {
 
-/// Returns the number of hardware threads OpenMP reports available.
-/// Calls init_parallel_runtime() first: querying OpenMP initializes its
-/// runtime, which latches OMP_WAIT_POLICY, so the passive-wait setup must
-/// win the race. Callers may treat this as a plain query.
+/// Returns the number of hardware threads OpenMP reports available
+/// (omp_get_max_threads(), so OMP_NUM_THREADS sizes "all threads" the same
+/// way under every backend).
 int hardware_threads();
 
-/// One-time runtime initialization: sets OMP_WAIT_POLICY=passive (unless
-/// the user already set it) and disables dynamic thread adjustment so that
-/// requested team sizes are honored exactly (needed for the paper's thread
-/// sweeps, which oversubscribe small machines). The wait-policy half is
-/// only effective if this runs before any other OpenMP call initializes
-/// the runtime — hardware_threads() guarantees that ordering. Safe to call
-/// often; only the first call does work.
+/// One-time OpenMP setup, run by the omp backend before its first team:
+/// disables dynamic thread adjustment so that requested team sizes are
+/// honored exactly (needed for the paper's thread sweeps, which
+/// oversubscribe small machines) and caps active nesting at one level.
+/// Safe to call often; only the first call does work.
 void init_parallel_runtime();
-
-/// Runs \p body on a team of exactly \p nthreads workers.
-/// body(tid, nthreads) with tid in [0, nthreads). Equivalent to the paper's
-/// `coforall` / `omp parallel num_threads(n)` pair (Listings 1-2).
-///
-/// Cold-path form: type-erases through an owning function wrapper (one
-/// allocation per call for capturing lambdas). Hot loops use the template
-/// overload below, which dispatches through a non-owning reference instead.
-void parallel_region(
-    int nthreads,
-    // sptd-lint: allow(std-function-hot-path) cold-path overload by design
-    const std::function<void(int tid, int nthreads)>& body);
 
 namespace detail {
 
@@ -75,15 +60,15 @@ void parallel_region_ref(int nthreads, TeamBodyRef body);
 
 }  // namespace detail
 
-/// Hot-path overload: any callable, dispatched without owning type erasure.
-/// Exact-match owning-wrapper arguments still select the overload above.
+/// Runs \p body on a team of exactly \p nthreads workers.
+/// body(tid, nthreads) with tid in [0, nthreads). Equivalent to the paper's
+/// `coforall` / `omp parallel num_threads(n)` pair (Listings 1-2). Any
+/// callable is dispatched through a non-owning TeamBodyRef, so launching a
+/// capturing lambda never allocates.
 template <typename F>
 void parallel_region(int nthreads, F&& body) {
   detail::TeamBodyRef ref(body);
   detail::parallel_region_ref(nthreads, ref);
 }
-
-/// Current thread id inside a parallel_region (0 outside).
-int current_thread_id();
 
 }  // namespace sptd

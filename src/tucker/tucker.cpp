@@ -443,7 +443,6 @@ TuckerResult tucker_hooi(const SparseTensor& x,
   SPTD_CHECK(options.max_iterations >= 1, "tucker_hooi: need iterations");
   SPTD_CHECK(x.nnz() > 0, "tucker_hooi: empty tensor");
   set_parallel_backend(options.backend);
-  init_parallel_runtime();
 
   const int nthreads = options.nthreads;
   HooiDriver hooi{options, x.norm_sq()};

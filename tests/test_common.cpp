@@ -273,6 +273,21 @@ TEST(Options, BadIntThrows) {
   EXPECT_THROW((void)o.get_int("rank"), Error);
 }
 
+TEST(Options, OutOfIntRangeThrowsInsteadOfWrapping) {
+  // 4294967297 == 2^32 + 1 would narrow to 1.
+  Options o("prog", "test");
+  o.add("chunk", "4294967297", "chunk");
+  o.add("grid", "4294967297,1", "grid");
+  o.add("threads", "-1", "threads");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(o.parse(1, argv));
+  EXPECT_THROW((void)o.get_int_at_least("chunk", 1), Error);
+  EXPECT_THROW((void)o.get_int_list("grid"), Error);
+  EXPECT_THROW((void)o.get_int_at_least("threads", 0), Error);
+  o.add("ok", "7", "in range");
+  EXPECT_EQ(o.get_int_at_least("ok", 7), 7);
+}
+
 TEST(Options, BadBoolThrows) {
   Options o("prog", "test");
   o.add("flaky", "maybe", "bad default");

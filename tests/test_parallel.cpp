@@ -2,13 +2,14 @@
 // privatized buffers.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "parallel/backend.hpp"
 #include "parallel/locks.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/reduce.hpp"
@@ -19,20 +20,22 @@ namespace {
 
 // ------------------------------------------------------------------ team
 
-TEST(Team, HardwareThreadsAppliesWaitPolicyFirst) {
-  // hardware_threads() queries OpenMP, which latches OMP_WAIT_POLICY at
-  // runtime initialization — so it must run init_parallel_runtime()
-  // (which installs "passive") first. This is the paper's Section V-E
-  // idle-interference mitigation; before the ordering fix, every CLI
-  // path that sized its team from hardware_threads() silently lost it.
-  if (std::getenv("OMP_WAIT_POLICY") != nullptr &&
-      std::string(std::getenv("OMP_WAIT_POLICY")) != "passive") {
-    GTEST_SKIP() << "user-set OMP_WAIT_POLICY wins by design";
-  }
-  EXPECT_GE(hardware_threads(), 1);
-  const char* policy = std::getenv("OMP_WAIT_POLICY");
-  ASSERT_NE(policy, nullptr);
-  EXPECT_STREQ(policy, "passive");
+TEST(Team, OmpRegionPinsTeamShapeAndHardwareThreadsIsMaxThreads) {
+  // The omp backend's first team runs init_parallel_runtime(): no dynamic
+  // thread adjustment (requested team sizes are honored exactly) and one
+  // active nesting level. hardware_threads() is OpenMP's own answer under
+  // every backend, so OMP_NUM_THREADS means the same thing everywhere.
+  const ParallelBackendKind prior = parallel_backend();
+  set_parallel_backend(ParallelBackendKind::kOmp);
+  std::atomic<int> team{0};
+  parallel_region(2, [&](int, int nt) { team.store(nt); });
+  EXPECT_EQ(team.load(), 2);
+  EXPECT_EQ(omp_get_dynamic(), 0);
+  EXPECT_EQ(omp_get_max_active_levels(), 1);
+  EXPECT_EQ(hardware_threads(), omp_get_max_threads());
+  set_parallel_backend(ParallelBackendKind::kPool);
+  EXPECT_EQ(hardware_threads(), omp_get_max_threads());
+  set_parallel_backend(prior);
 }
 
 TEST(Team, SingleThreadRunsInline) {
@@ -46,7 +49,6 @@ TEST(Team, SingleThreadRunsInline) {
 }
 
 TEST(Team, EveryTidAppearsExactlyOnce) {
-  init_parallel_runtime();
   constexpr int kThreads = 8;
   std::vector<std::atomic<int>> hits(kThreads);
   parallel_region(kThreads, [&](int tid, int nt) {
@@ -181,7 +183,6 @@ TEST(LockKind, ParseRoundTrips) {
 class LockStressTest : public ::testing::TestWithParam<LockKind> {};
 
 TEST_P(LockStressTest, MutualExclusionUnderContention) {
-  init_parallel_runtime();
   AnyMutexPool pool(GetParam());
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;

@@ -127,7 +127,6 @@ TEST(SliceSchedule, WeightedWithoutWeightsDegradesToStatic) {
 // ------------------------------------------------------------- coverage
 
 TEST(SliceSchedule, EveryPolicyCoversEachSliceExactlyOnce) {
-  init_parallel_runtime();
   for (const SchedulePolicy policy : kAllPolicies) {
     for (const nnz_t total : {0ULL, 1ULL, 5ULL, 1000ULL}) {
       for (const int threads : {1, 4, 16}) {  // 16 oversubscribes this box
@@ -382,7 +381,6 @@ void expect_plan_matches_planless(const CsfSet& set,
 }
 
 TEST(MttkrpPlan, MatchesPlanlessAcrossStrategiesAndPolicies) {
-  init_parallel_runtime();
   SparseTensor x = plan_tensor();
   CsfSet set(x, CsfPolicy::kTwoMode, 2);
   const idx_t rank = 5;
@@ -414,7 +412,6 @@ TEST(MttkrpPlan, MatchesPlanlessAcrossStrategiesAndPolicies) {
 // ------------------------------------------------- zero planning in loop
 
 TEST(MttkrpPlan, HotLoopPerformsZeroPlanningCalls) {
-  init_parallel_runtime();
   SparseTensor x = plan_tensor();
   CsfSet set(x, CsfPolicy::kTwoMode, 2);
   MttkrpOptions opts;
@@ -441,7 +438,6 @@ TEST(MttkrpPlan, HotLoopPerformsZeroPlanningCalls) {
 TEST(CpalsPlan, PlanningCostIndependentOfIterationCount) {
   // End-to-end: the CP-ALS driver plans once up front, so the number of
   // planning calls must not grow with the iteration count.
-  init_parallel_runtime();
   const auto planning_delta = [](int iterations) {
     SparseTensor x = plan_tensor();
     const val_t norm_sq = x.norm_sq();
@@ -467,7 +463,6 @@ TEST(CpalsPlan, PlanningCostIndependentOfIterationCount) {
 // --------------------------------------------------- end-to-end numerics
 
 TEST(CpalsPlan, SchedulePoliciesAgreeOnFit) {
-  init_parallel_runtime();
   std::vector<double> fits;
   for (const SchedulePolicy policy : kAllPolicies) {
     SparseTensor x = plan_tensor();

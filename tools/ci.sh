@@ -248,6 +248,29 @@ if "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 2 \
   exit 1
 fi
 echo "ci: single-locale dist models equal cp_als; ignored flags refused"
+# Integer flags past int's range are refused naming the flag, never
+# narrowed. Each value wraps to 1 or 2 when narrowed to int, so a build
+# that wraps runs a tiny job instead of failing here.
+expect_flag_refused() {  # <flag> <sptd args...>
+  local flag="$1" err
+  shift
+  if err="$("$BUILD_DIR/sptd" "$@" "$RES_DIR/smoke.tns" --iters 1 2>&1 \
+      > /dev/null)"; then
+    echo "ci: sptd $* accepted an out-of-range --$flag" >&2
+    exit 1
+  fi
+  grep -q -- "--$flag" <<< "$err" \
+    || { echo "ci: sptd $* failed without naming --$flag: $err" >&2
+         exit 1; }
+}
+expect_flag_refused chunk cpd --chunk 4294967297
+expect_flag_refused threads cpd --threads 4294967298
+expect_flag_refused chunk cpd --dist-grid 1,1,1 --chunk 4294967297
+expect_flag_refused dist-grid cpd --dist-grid 4294967297,1,1
+expect_flag_refused threads tucker --threads 4294967298
+expect_flag_refused threads complete --threads 4294967298
+expect_flag_refused chunk complete --chunk 4294967297
+echo "ci: out-of-range --chunk/--threads/--dist-grid refused"
 
 echo "== dist recovery smoke: SIGKILL a real rank, recover, bitwise =="
 # rank-kill:1@3 makes the rank-1 child SIGKILL itself mid-iteration; the

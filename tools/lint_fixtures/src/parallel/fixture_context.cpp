@@ -18,7 +18,7 @@ struct Context {
     body(0, nthreads);
   }
 
-  // The sanctioned cold-path shape carries a marker, like team.hpp's.
+  // A site judged acceptable carries an allow marker and stays quiet.
   void run_cold(
       // sptd-lint: allow(std-function-hot-path) cold-path overload fixture
       const std::function<void(int, int)>& body) const {

@@ -291,7 +291,7 @@ int cmd_cpd(int argc, const char* const* argv) {
     dopts.max_iterations = static_cast<int>(cli.get_int("iters"));
     dopts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     dopts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-    dopts.chunk_target = static_cast<int>(cli.get_int("chunk"));
+    dopts.chunk_target = cli.get_int_at_least("chunk", 1);
     dopts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
     dopts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
     dopts.precision = parse_precision(cli.get_string("precision"));
@@ -331,14 +331,12 @@ int cmd_cpd(int argc, const char* const* argv) {
   opts.max_iterations = static_cast<int>(cli.get_int("iters"));
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
+  opts.nthreads = cli.get_int_at_least("threads", 0);
+  if (opts.nthreads == 0) opts.nthreads = hardware_threads();
   opts.csf_policy = parse_csf_policy(cli.get_string("csf"));
   opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
   opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-  opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-  SPTD_CHECK(opts.chunk_target >= 1,
-             "cpd: --chunk must be >= 1 (claims per thread)");
+  opts.chunk_target = cli.get_int_at_least("chunk", 1);
   opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
   opts.nonnegative = cli.get_bool("nonneg");
   opts.precision = parse_precision(cli.get_string("precision"));
@@ -412,8 +410,8 @@ int cmd_tucker(int argc, const char* const* argv) {
   opts.max_iterations = static_cast<int>(cli.get_int("iters"));
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
+  opts.nthreads = cli.get_int_at_least("threads", 0);
+  if (opts.nthreads == 0) opts.nthreads = hardware_threads();
   opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
   opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
   opts.precision = parse_precision(cli.get_string("precision"));
@@ -470,12 +468,10 @@ int cmd_complete(int argc, const char* const* argv) {
   opts.regularization = cli.get_double("reg");
   opts.learn_rate = cli.get_double("lr");
   opts.decay = cli.get_double("decay");
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
+  opts.nthreads = cli.get_int_at_least("threads", 0);
+  if (opts.nthreads == 0) opts.nthreads = hardware_threads();
   opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-  opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-  SPTD_CHECK(opts.chunk_target >= 1,
-             "complete: --chunk must be >= 1 (claims per thread)");
+  opts.chunk_target = cli.get_int_at_least("chunk", 1);
   opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "complete");
   opts.precision = parse_precision(cli.get_string("precision"));
   opts.backend = parse_parallel_backend(cli.get_string("backend"));

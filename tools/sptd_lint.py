@@ -8,14 +8,13 @@ CI instead of waiting for a reviewer to remember it. The rules:
   omp-outside-parallel  omp_* runtime calls, `#pragma omp`, or direct
                         std::thread/std::jthread construction outside
                         src/parallel/. The parallel/ layer owns team
-                        shape, first-touch ordering and schedule state;
-                        a stray `#pragma omp parallel` elsewhere
-                        bypasses init_parallel_runtime() and the
-                        reset() contract, and a hand-rolled std::thread
-                        elsewhere bypasses the backend seam
-                        (parallel/backend.hpp) — the pool backend's
-                        whole point is that library code never spawns
-                        its own threads. `#pragma omp simd` is exempt:
+                        shape and schedule state; a stray
+                        `#pragma omp parallel` elsewhere bypasses the
+                        backend choice and the reset() contract, and a
+                        hand-rolled std::thread elsewhere bypasses the
+                        backend seam (parallel/backend.hpp) — the pool
+                        backend's whole point is that library code
+                        never spawns its own threads. `#pragma omp simd` is exempt:
                         it is a vectorization hint with no runtime
                         interaction. (Benches and tests may use raw
                         threads; the rule scans src/ only.)
@@ -23,9 +22,13 @@ CI instead of waiting for a reviewer to remember it. The rules:
                         src/parallel/. A type-erased call in the kernel
                         hot path defeats inlining and allocates;
                         dispatch there is by template, function
-                        pointer, or TeamBodyRef. The one sanctioned
-                        use — parallel_region's cold-path overload —
-                        carries an allow marker.
+                        pointer, or TeamBodyRef. No sanctioned use is
+                        left in src/.
+  omp-env-setenv        setenv/putenv of an OMP_* or GOMP_* variable
+                        anywhere in src/. libgomp parses those variables
+                        once, in its load-time constructor, so a write
+                        from library code is silently inert (the wait
+                        policy belongs in the launch environment).
   unaligned-value-array std::vector<val_t> / std::vector<float> in the
                         hot directories (src/csf, src/la, src/mttkrp,
                         src/parallel, src/completion). Value streams and
@@ -121,6 +124,7 @@ STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
 # "thread" or "jthread" immediately.
 STD_THREAD_RE = re.compile(r"\bstd::j?thread\b")
 UNALIGNED_RE = re.compile(r"\bstd::vector<\s*(val_t|float)\s*>")
+OMP_ENV_RE = re.compile(r"\b(setenv|putenv)\s*\(.*\"G?OMP_")
 PROTOCOL_RE = re.compile(
     r"\b(try_resume|fail_or_retry|note_healthy|checkpoint_due|"
     r"save_checkpoint|seed_trend|perturb_factors)\s*\(")
@@ -154,6 +158,12 @@ def lint(root):
                 "std::function in a kernel hot path: dispatch by "
                 "template or function pointer",
                 findings)
+        scan_pattern(
+            root, rel, lines, "omp-env-setenv", OMP_ENV_RE,
+            "OMP_*/GOMP_* written from library code: libgomp reads "
+            "them only when it loads, so set them in the launch "
+            "environment",
+            findings)
         if not in_dir(rel, "src/resilience"):
             scan_pattern(
                 root, rel, lines, "resilience-protocol", PROTOCOL_RE,
@@ -181,6 +191,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("omp-outside-parallel", "src/la/fixture_hot_path.cpp"): 3,
     ("std-function-hot-path", "src/la/fixture_hot_path.cpp"): 1,
     ("std-function-hot-path", "src/parallel/fixture_context.cpp"): 1,
+    ("omp-env-setenv", "src/parallel/fixture_runtime.cpp"): 2,
     ("unaligned-value-array", "src/csf/fixture_storage.cpp"): 2,
     ("resilience-protocol", "src/cpd/fixture_driver.cpp"): 3,
 }
