@@ -105,12 +105,13 @@ bool Options::get_bool(const std::string& name) const {
   throw Error("option --" + name + " expects a boolean, got '" + s + "'");
 }
 
-std::vector<int> Options::get_int_list(const std::string& name) const {
+std::vector<int> Options::get_int_list(const std::string& name,
+                                       char separator) const {
   const std::string s = get_string(name);
   std::vector<int> out;
   std::stringstream ss(s);
   std::string tok;
-  while (std::getline(ss, tok, ',')) {
+  while (std::getline(ss, tok, separator)) {
     if (tok.empty()) continue;
     char* end = nullptr;
     const long v = std::strtol(tok.c_str(), &end, 10);

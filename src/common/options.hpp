@@ -43,9 +43,11 @@ class Options {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
-  /// Parses a comma-separated integer list, e.g. "1,2,4,8,16,32". An entry
-  /// outside int's range throws naming the option.
-  [[nodiscard]] std::vector<int> get_int_list(const std::string& name) const;
+  /// Parses a \p separator-separated integer list, e.g. "1,2,4,8,16,32"
+  /// or, with 'x', "8x8x8". An entry outside int's range throws naming the
+  /// option.
+  [[nodiscard]] std::vector<int> get_int_list(const std::string& name,
+                                              char separator = ',') const;
 
   /// Positional arguments (everything not starting with --).
   [[nodiscard]] const std::vector<std::string>& positional() const {

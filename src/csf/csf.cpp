@@ -41,13 +41,23 @@ int csf_ptr_width_for(nnz_t children, CsfLayout layout) {
 
 namespace {
 
-template <typename Narrow, typename Wide>
-std::vector<Narrow> narrow_copy(const std::vector<Wide>& wide) {
-  std::vector<Narrow> out(wide.size());
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    out[i] = static_cast<Narrow>(wide[i]);
+/// Stores \p v at entry \p i of a stream \p width bytes wide; \p v must
+/// fit (the widths are chosen from each stream's largest value).
+void put(void* bytes, int width, nnz_t i, std::uint64_t v) {
+  switch (width) {
+    case 1:
+      static_cast<std::uint8_t*>(bytes)[i] = static_cast<std::uint8_t>(v);
+      break;
+    case 2:
+      static_cast<std::uint16_t*>(bytes)[i] = static_cast<std::uint16_t>(v);
+      break;
+    case 4:
+      static_cast<std::uint32_t*>(bytes)[i] = static_cast<std::uint32_t>(v);
+      break;
+    default:
+      static_cast<std::uint64_t*>(bytes)[i] = v;
+      break;
   }
-  return out;
 }
 
 }  // namespace
@@ -72,169 +82,82 @@ CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
               "CsfTensor: tensor must be sorted by mode_order");
 
   const nnz_t nnz = coo.nnz();
-  const auto order_sz = static_cast<std::size_t>(order);
+  const int leaf = order - 1;
   vals_.assign(coo.vals().begin(), coo.vals().end());
-
-  // Build the levels wide first (the construction algorithm is
-  // width-oblivious), then narrow each stream to its selected store. The
-  // transient wide arrays cost one extra pass; construction is dominated
-  // by the sort that precedes it.
-  std::vector<std::vector<nnz_t>> wide_fptrs(order_sz - 1);
-  std::vector<std::vector<idx_t>> wide_fids(order_sz);
-
-  // Leaf level: one entry per nonzero.
-  const auto leaf_mode = mode_order_[order_sz - 1];
-  wide_fids[order_sz - 1].assign(coo.ind(leaf_mode).begin(),
-                                 coo.ind(leaf_mode).end());
-
-  // Upper levels, leaf-exclusive: a new fiber starts at nonzero x when any
-  // coordinate at this level or above differs from nonzero x-1.
-  // Build top-down so each level's fptr indexes the level below.
-  //
-  // First compute, for every nonzero, the shallowest level at which it
-  // differs from its predecessor (order = no new fiber anywhere).
-  std::vector<int> first_diff(nnz == 0 ? 0 : static_cast<std::size_t>(nnz));
-  if (nnz > 0) {
-    first_diff[0] = 0;
-    for (nnz_t x = 1; x < nnz; ++x) {
-      int lvl = order - 1;  // differs only at leaf (or not at all)
-      for (int l = 0; l < order - 1; ++l) {
-        const auto ind = coo.ind(mode_order_[static_cast<std::size_t>(l)]);
-        if (ind[x] != ind[x - 1]) {
-          lvl = l;
-          break;
-        }
-      }
-      first_diff[x] = lvl;
-    }
-  }
-
-  // Count fibers per level: a fiber starts at level l whenever
-  // first_diff[x] <= l (x = 0 starts a fiber at every level).
-  for (int l = 0; l < order - 1; ++l) {
-    auto& fid = wide_fids[static_cast<std::size_t>(l)];
-    auto& fp = wide_fptrs[static_cast<std::size_t>(l)];
-    const auto ind = coo.ind(mode_order_[static_cast<std::size_t>(l)]);
-    fid.clear();
-    fp.clear();
-    fp.push_back(0);
-    nnz_t children = 0;  // fibers seen so far at level l+1
-    for (nnz_t x = 0; x < nnz; ++x) {
-      const bool new_here = first_diff[x] <= l;
-      const bool new_child = first_diff[x] <= l + 1;
-      if (new_here) {
-        if (!fid.empty()) {
-          fp.push_back(children);
-        }
-        fid.push_back(ind[x]);
-      }
-      if (new_child || l + 1 == order - 1) {
-        // At the deepest non-leaf level every nonzero is a child.
-        ++children;
-      }
-    }
-    if (!fid.empty()) {
-      fp.push_back(children);
-    }
-  }
-
-  // Root nnz prefix for thread balancing: compose fptr chains down to the
-  // leaf level.
-  const nnz_t nroots = wide_fids[0].size();
-  root_nnz_prefix_.assign(static_cast<std::size_t>(nroots) + 1, 0);
-  for (nnz_t s = 0; s <= nroots; ++s) {
-    nnz_t f = s;
-    for (int l = 0; l < order - 1; ++l) {
-      f = wide_fptrs[static_cast<std::size_t>(l)][f];
-    }
-    root_nnz_prefix_[s] = f;
-  }
-  SPTD_CHECK(root_nnz_prefix_.back() == nnz,
-             "CsfTensor: fiber pointers do not cover all nonzeros");
-
-  // Narrow every stream to the width the layout selects: fids from the
-  // level's mode length, fptr from the level's child-fiber count (its
-  // largest stored value).
-  fids_.reserve(order_sz);
-  fptrs_.reserve(order_sz - 1);
+  std::array<const idx_t*, kMaxOrder> ind{};
   for (int l = 0; l < order; ++l) {
-    auto& wide = wide_fids[static_cast<std::size_t>(l)];
+    ind[static_cast<std::size_t>(l)] = coo.ind(mode_at_level(l)).data();
+  }
+
+  // Nonzero x opens a new fiber at every level from the shallowest one at
+  // which it differs from nonzero x-1 down to the leaf (x = 0 opens one at
+  // every level; a nonzero that differs only at the leaf, or a duplicate,
+  // opens only its leaf).
+  const auto first_new_level = [&](nnz_t x) {
+    if (x == 0) return 0;
+    int l = 0;
+    while (l < leaf && ind[static_cast<std::size_t>(l)][x] ==
+                           ind[static_cast<std::size_t>(l)][x - 1]) {
+      ++l;
+    }
+    return l;
+  };
+
+  // Pass 1: count the fibers per level. The counts fix every stream's
+  // length and its fptr width (the largest fptr entry at level l is the
+  // fiber count of level l+1).
+  std::array<nnz_t, kMaxOrder> nfib{};
+  for (nnz_t x = 0; x < nnz; ++x) {
+    ++nfib[static_cast<std::size_t>(first_new_level(x))];
+  }
+  for (int l = 1; l < order; ++l) {
+    nfib[static_cast<std::size_t>(l)] += nfib[static_cast<std::size_t>(l - 1)];
+  }
+  const auto make_stream = [](nnz_t size, int width) {
+    return Stream{std::unique_ptr<void, FreeBytes>(::operator new(
+                      static_cast<std::size_t>(size) *
+                      static_cast<std::size_t>(width))),
+                  size, static_cast<std::uint8_t>(width)};
+  };
+  fids_.reserve(static_cast<std::size_t>(order));
+  fptrs_.reserve(static_cast<std::size_t>(leaf));
+  for (int l = 0; l < order; ++l) {
+    const auto lz = static_cast<std::size_t>(l);
     const idx_t dim = dims_[static_cast<std::size_t>(mode_at_level(l))];
-    switch (csf_fid_width_for(dim, layout)) {
-      case 1:
-        fids_.emplace_back(narrow_copy<std::uint8_t>(wide));
-        break;
-      case 2:
-        fids_.emplace_back(narrow_copy<std::uint16_t>(wide));
-        break;
-      default:
-        fids_.emplace_back(std::move(wide));
-        break;
+    fids_.push_back(make_stream(nfib[lz], csf_fid_width_for(dim, layout)));
+    if (l < leaf) {
+      fptrs_.push_back(make_stream(
+          nfib[lz] + 1, csf_ptr_width_for(nfib[lz + 1], layout)));
     }
-    wide = {};
   }
-  for (int l = 0; l < order - 1; ++l) {
-    auto& wide = wide_fptrs[static_cast<std::size_t>(l)];
-    const nnz_t children = wide.empty() ? 0 : wide.back();
-    switch (csf_ptr_width_for(children, layout)) {
-      case 2:
-        fptrs_.emplace_back(narrow_copy<std::uint16_t>(wide));
-        break;
-      case 4:
-        fptrs_.emplace_back(narrow_copy<std::uint32_t>(wide));
-        break;
-      default:
-        fptrs_.emplace_back(std::move(wide));
-        break;
+
+  // Pass 2: write every stream once, at its width. pos[l] counts the
+  // fibers written at level l; at the leaf it is the nonzero itself.
+  root_nnz_prefix_.resize(static_cast<std::size_t>(nfib[0]) + 1);
+  std::array<nnz_t, kMaxOrder> pos{};
+  for (nnz_t x = 0; x < nnz; ++x) {
+    pos[static_cast<std::size_t>(leaf)] = x;
+    const int d = first_new_level(x);
+    if (d == 0) root_nnz_prefix_[static_cast<std::size_t>(pos[0])] = x;
+    for (int l = d; l < leaf; ++l) {
+      const auto lz = static_cast<std::size_t>(l);
+      put(fptrs_[lz].bytes.get(), fptrs_[lz].width, pos[lz], pos[lz + 1]);
+      put(fids_[lz].bytes.get(), fids_[lz].width, pos[lz], ind[lz][x]);
+      ++pos[lz];
     }
-    wide = {};
   }
-}
+  for (int l = 0; l < leaf; ++l) {
+    const auto lz = static_cast<std::size_t>(l);
+    put(fptrs_[lz].bytes.get(), fptrs_[lz].width, nfib[lz], nfib[lz + 1]);
+  }
+  root_nnz_prefix_.back() = nnz;
 
-nnz_t CsfTensor::nfibers(int level) const {
-  return std::visit([](const auto& v) { return static_cast<nnz_t>(v.size()); },
-                    fids_[static_cast<std::size_t>(level)]);
-}
-
-int CsfTensor::fid_width(int level) const {
-  return std::visit(
-      [](const auto& v) {
-        return static_cast<int>(sizeof(typename std::decay_t<
-                                       decltype(v)>::value_type));
-      },
-      fids_[static_cast<std::size_t>(level)]);
-}
-
-int CsfTensor::ptr_width(int level) const {
-  return std::visit(
-      [](const auto& v) {
-        return static_cast<int>(sizeof(typename std::decay_t<
-                                       decltype(v)>::value_type));
-      },
-      fptrs_[static_cast<std::size_t>(level)]);
-}
-
-idx_t CsfTensor::fid(int level, nnz_t f) const {
-  return std::visit(
-      [f](const auto& v) { return static_cast<idx_t>(v[f]); },
-      fids_[static_cast<std::size_t>(level)]);
-}
-
-nnz_t CsfTensor::ptr(int level, nnz_t f) const {
-  return std::visit(
-      [f](const auto& v) { return static_cast<nnz_t>(v[f]); },
-      fptrs_[static_cast<std::size_t>(level)]);
-}
-
-FidStreamRef CsfTensor::fid_stream(int level) const {
-  return std::visit(
-      [](const auto& v) {
-        return FidStreamRef{
-            v.data(),
-            static_cast<std::uint8_t>(sizeof(typename std::decay_t<
-                                             decltype(v)>::value_type))};
-      },
-      fids_[static_cast<std::size_t>(level)]);
+  // Leaf fids, narrowed straight from the COO index array.
+  Stream& leaf_fids = fids_[static_cast<std::size_t>(leaf)];
+  const idx_t* leaf_ind = ind[static_cast<std::size_t>(leaf)];
+  for (nnz_t x = 0; x < nnz; ++x) {
+    put(leaf_fids.bytes.get(), leaf_fids.width, x, leaf_ind[x]);
+  }
 }
 
 CsfStreamRefs CsfTensor::stream_refs() const {
@@ -247,17 +170,6 @@ CsfStreamRefs CsfTensor::stream_refs() const {
     refs.fptr[static_cast<std::size_t>(l)] = ptr_stream(l);
   }
   return refs;
-}
-
-PtrStreamRef CsfTensor::ptr_stream(int level) const {
-  return std::visit(
-      [](const auto& v) {
-        return PtrStreamRef{
-            v.data(),
-            static_cast<std::uint8_t>(sizeof(typename std::decay_t<
-                                             decltype(v)>::value_type))};
-      },
-      fptrs_[static_cast<std::size_t>(level)]);
 }
 
 int CsfTensor::level_of_mode(int mode) const {
@@ -317,23 +229,10 @@ SparseTensor CsfTensor::to_coo() const {
 
 std::uint64_t CsfTensor::index_bytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& f : fids_) {
-    bytes += std::visit(
-        [](const auto& v) {
-          return static_cast<std::uint64_t>(
-              v.size() *
-              sizeof(typename std::decay_t<decltype(v)>::value_type));
-        },
-        f);
-  }
-  for (const auto& f : fptrs_) {
-    bytes += std::visit(
-        [](const auto& v) {
-          return static_cast<std::uint64_t>(
-              v.size() *
-              sizeof(typename std::decay_t<decltype(v)>::value_type));
-        },
-        f);
+  for (const auto* streams : {&fids_, &fptrs_}) {
+    for (const Stream& s : *streams) {
+      bytes += static_cast<std::uint64_t>(s.size) * s.width;
+    }
   }
   return bytes;
 }
@@ -441,9 +340,8 @@ CsfSet::CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
   // sorted COO gives it. Each root is derived from the ascending order,
   // never from the previous root (chaining b then c would give (c,b,a)).
   // The last representation's pass lands in coo, per the contract above.
-  // A build from coo frees the scratch first, so the build's own transient
-  // arrays take its place and peak memory stays at coo + one scratch copy
-  // + the CSFs.
+  // A build from coo frees the scratch first, so peak memory stays at coo
+  // + one scratch copy + the CSFs.
   const std::vector<int> ascending = csf_mode_order(dims, -1);
   SparseTensor scratch;
   charge([&] { stable_sort_perm(coo, ascending, nthreads, scratch); });

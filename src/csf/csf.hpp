@@ -15,10 +15,11 @@
 /// its fptr in the narrowest of u16/u32/u64 that covers the child-fiber
 /// count (SPLATT ships the same idea as a compile-time IDX_TYPEWIDTH; here
 /// it is picked per level at build time). CsfLayout::kWide keeps the
-/// fixed u32/u64 streams as the ablation baseline. Hot kernels read the
-/// streams through CsfLevelView / the *StreamRef accessors below;
-/// mttkrp.cpp instantiates its inner loops per width pair so the hot loop
-/// streams exactly the stored bytes.
+/// fixed u32/u64 streams as the ablation baseline. Each stream is stored
+/// once, as a byte buffer tagged with its width, and read through the
+/// FidStreamRef / PtrStreamRef views below; mttkrp.cpp casts a view's base
+/// to the stored integer type and instantiates its inner loops per width
+/// pair, so the hot loop streams exactly the stored bytes.
 ///
 /// SPLATT allocates one, two, or N representations per tensor (trading
 /// memory for always-root MTTKRP kernels); `CsfSet` reproduces those
@@ -26,9 +27,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -51,21 +53,10 @@ CsfLayout parse_csf_layout(const std::string& name);
 /// Name of a layout.
 const char* csf_layout_name(CsfLayout layout);
 
-/// Typed view of one CSF level: the fiber-id stream as FidT and the
-/// child-extent stream as PtrT. Obtainable only when the stored widths
-/// match (CsfTensor::level_view checks). The MTTKRP kernel table keys its
-/// typed views on fid_width()/ptr_width() the same way.
-template <typename FidT, typename PtrT>
-struct CsfLevelView {
-  const FidT* fids = nullptr;
-  const PtrT* fptr = nullptr;  ///< null at the leaf level
-  nnz_t nfibers = 0;
-};
-
-/// Width-erased accessor for one fid stream: a raw base pointer plus the
-/// stored width. operator[] is a predictable 3-way switch — fine for
-/// per-fiber / per-slice reads; per-nonzero loops should run a typed
-/// instantiation instead.
+/// Width-erased view of one fid stream: its base pointer plus the stored
+/// width. operator[] is a predictable 3-way switch — fine for per-fiber /
+/// per-slice reads; per-nonzero loops should cast base to the stored type
+/// (std::uint8_t, std::uint16_t or std::uint32_t by width) instead.
 struct FidStreamRef {
   const void* base = nullptr;
   std::uint8_t width = sizeof(idx_t);  ///< bytes: 1, 2 or 4
@@ -82,7 +73,7 @@ struct FidStreamRef {
   }
 };
 
-/// Width-erased accessor for one fptr stream (bytes: 2, 4 or 8).
+/// Width-erased view of one fptr stream (bytes: 2, 4 or 8).
 struct PtrStreamRef {
   const void* base = nullptr;
   std::uint8_t width = sizeof(nnz_t);
@@ -99,9 +90,9 @@ struct PtrStreamRef {
   }
 };
 
-/// Every level's width-erased stream refs, resolved in one pass — what
-/// the width-generic walks (MTTKRP's erased levels, to_coo, Tucker's
-/// TTMc) index instead of re-visiting the variant stores per access.
+/// Every level's width-erased stream refs in one value — what the
+/// width-generic walks (MTTKRP's erased levels, to_coo, Tucker's TTMc)
+/// index.
 struct CsfStreamRefs {
   std::array<FidStreamRef, kMaxOrder> fids{};  ///< levels 0..order-1
   std::array<PtrStreamRef, kMaxOrder> fptr{};  ///< levels 0..order-2
@@ -153,36 +144,43 @@ class CsfTensor {
   [[nodiscard]] nnz_t nnz() const { return vals_.size(); }
 
   /// Number of fibers at \p level (level order()-1 has nnz() "fibers").
-  [[nodiscard]] nnz_t nfibers(int level) const;
+  [[nodiscard]] nnz_t nfibers(int level) const { return fids_at(level).size; }
 
   /// Stored width in bytes of the fid stream at \p level (1, 2 or 4).
-  [[nodiscard]] int fid_width(int level) const;
+  [[nodiscard]] int fid_width(int level) const {
+    return fids_at(level).width;
+  }
 
   /// Stored width in bytes of the fptr stream at \p level (2, 4 or 8).
   /// Defined for levels 0 .. order()-2.
-  [[nodiscard]] int ptr_width(int level) const;
+  [[nodiscard]] int ptr_width(int level) const {
+    return fptrs_at(level).width;
+  }
 
   /// Fiber coordinate of fiber \p f at \p level (width-erased read).
-  [[nodiscard]] idx_t fid(int level, nnz_t f) const;
+  [[nodiscard]] idx_t fid(int level, nnz_t f) const {
+    return fid_stream(level)[f];
+  }
 
   /// Child-extent entry \p f of \p level (width-erased read): the children
   /// of fiber f at level l are [ptr(l, f), ptr(l, f+1)) at level l+1.
   /// The stream has nfibers(level)+1 entries; levels 0 .. order()-2.
-  [[nodiscard]] nnz_t ptr(int level, nnz_t f) const;
+  [[nodiscard]] nnz_t ptr(int level, nnz_t f) const {
+    return ptr_stream(level)[f];
+  }
 
-  /// Width-erased stream accessors for kernel walking (resolved once,
-  /// then indexed without std::visit).
-  [[nodiscard]] FidStreamRef fid_stream(int level) const;
-  [[nodiscard]] PtrStreamRef ptr_stream(int level) const;
+  /// Width-erased views of one level's streams for kernel walking.
+  [[nodiscard]] FidStreamRef fid_stream(int level) const {
+    const Stream& s = fids_at(level);
+    return {s.bytes.get(), s.width};
+  }
+  [[nodiscard]] PtrStreamRef ptr_stream(int level) const {
+    const Stream& s = fptrs_at(level);
+    return {s.bytes.get(), s.width};
+  }
 
   /// All levels' stream refs in one call.
   [[nodiscard]] CsfStreamRefs stream_refs() const;
-
-  /// Typed view of one level. SPTD_CHECKs that the stored widths are
-  /// exactly sizeof(FidT)/sizeof(PtrT); at the leaf the fptr pointer is
-  /// null and PtrT is not checked.
-  template <typename FidT, typename PtrT>
-  [[nodiscard]] CsfLevelView<FidT, PtrT> level_view(int level) const;
 
   /// Leaf values, aligned with the leaf fid stream.
   [[nodiscard]] std::span<const val_t> vals() const { return vals_; }
@@ -217,18 +215,33 @@ class CsfTensor {
   [[nodiscard]] std::uint64_t index_bytes() const;
 
  private:
-  using FidStore = std::variant<std::vector<std::uint8_t>,
-                                std::vector<std::uint16_t>,
-                                std::vector<std::uint32_t>>;
-  using PtrStore = std::variant<std::vector<std::uint16_t>,
-                                std::vector<std::uint32_t>,
-                                std::vector<std::uint64_t>>;
+  /// Releases a stream's storage to ::operator delete.
+  struct FreeBytes {
+    void operator()(void* p) const { ::operator delete(p); }
+  };
+
+  /// One index stream: `size` entries of `width` bytes each. Storage from
+  /// ::operator new implicitly creates the array of unsigned integers the
+  /// stream holds, so the typed writes of the build and the typed reads
+  /// through the refs' bases are well-defined at every width.
+  struct Stream {
+    std::unique_ptr<void, FreeBytes> bytes;
+    nnz_t size = 0;
+    std::uint8_t width = 0;
+  };
+
+  const Stream& fids_at(int level) const {
+    return fids_[static_cast<std::size_t>(level)];
+  }
+  const Stream& fptrs_at(int level) const {
+    return fptrs_[static_cast<std::size_t>(level)];
+  }
 
   dims_t dims_;
   std::vector<int> mode_order_;
   CsfLayout layout_;
-  std::vector<PtrStore> fptrs_;  ///< levels 0..order-2
-  std::vector<FidStore> fids_;   ///< levels 0..order-1
+  std::vector<Stream> fptrs_;  ///< levels 0..order-2
+  std::vector<Stream> fids_;   ///< levels 0..order-1
   aligned_vector<val_t> vals_;
   mutable aligned_vector<float> vals_f32_;  ///< lazy precision!=f64 stream
   std::vector<nnz_t> root_nnz_prefix_;
@@ -294,23 +307,5 @@ class CsfSet {
   CsfLayout layout_;
   std::vector<CsfTensor> csfs_;
 };
-
-template <typename FidT, typename PtrT>
-CsfLevelView<FidT, PtrT> CsfTensor::level_view(int level) const {
-  const auto l = static_cast<std::size_t>(level);
-  CsfLevelView<FidT, PtrT> view;
-  const auto* fids = std::get_if<std::vector<FidT>>(&fids_[l]);
-  SPTD_CHECK(fids != nullptr,
-             "CsfTensor::level_view: fid width mismatch at this level");
-  view.fids = fids->data();
-  view.nfibers = fids->size();
-  if (level < order() - 1) {
-    const auto* fptr = std::get_if<std::vector<PtrT>>(&fptrs_[l]);
-    SPTD_CHECK(fptr != nullptr,
-               "CsfTensor::level_view: fptr width mismatch at this level");
-    view.fptr = fptr->data();
-  }
-  return view;
-}
 
 }  // namespace sptd

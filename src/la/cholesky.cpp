@@ -1,20 +1,11 @@
 #include "la/cholesky.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "parallel/partition.hpp"
 #include "parallel/team.hpp"
 
 namespace sptd::la {
-
-namespace {
-std::atomic<std::uint64_t> g_tikhonov_bumps{0};
-}
-
-std::uint64_t tikhonov_bump_count() {
-  return g_tikhonov_bumps.load(std::memory_order_relaxed);
-}
 
 bool potrf(Matrix& a) {
   SPTD_CHECK(a.rows() == a.cols(), "potrf: matrix must be square");
@@ -101,7 +92,6 @@ int solve_normal_equations(Matrix v, Matrix& m, int nthreads) {
       return tries;
     }
     // Not SPD: add eps·scale·I and retry with growing eps.
-    g_tikhonov_bumps.fetch_add(1, std::memory_order_relaxed);
     reg = (reg == val_t{0}) ? val_t{1e-12} * diag_scale : reg * val_t{10};
     attempt = v;
     for (idx_t i = 0; i < attempt.rows(); ++i) {

@@ -35,10 +35,4 @@ void potrs(const Matrix& chol, Matrix& b, int nthreads);
 /// add to their own run's ResilienceCounters::gram_bumps.
 int solve_normal_equations(Matrix v, Matrix& m, int nthreads);
 
-/// Process-wide count of Tikhonov diagonal bumps applied by
-/// solve_normal_equations when a Gram product was not SPD, summed over
-/// every run in the process (mirrors mttkrp's work_steal_count()). A
-/// run's own count is ResilienceCounters::gram_bumps.
-std::uint64_t tikhonov_bump_count();
-
 }  // namespace sptd::la

@@ -63,10 +63,10 @@ void add_resilience_flags(Options& opts) {
 ResilienceOptions resilience_from_flags(const Options& opts) {
   ResilienceOptions r;
   r.checkpoint_dir = opts.get_string("checkpoint-dir");
-  r.checkpoint_every = static_cast<int>(opts.get_int("checkpoint-every"));
+  r.checkpoint_every = opts.get_int_at_least("checkpoint-every", 0);
   r.resume = opts.get_bool("resume");
-  r.max_retries = static_cast<int>(opts.get_int("max-retries"));
-  r.divergence_patience = static_cast<int>(opts.get_int("patience"));
+  r.max_retries = opts.get_int_at_least("max-retries", 0);
+  r.divergence_patience = opts.get_int_at_least("patience", 0);
   r.health_checks = !opts.get_bool("no-health-guards");
   r.inject = opts.get_string("inject");
   r.inject_seed = static_cast<std::uint64_t>(opts.get_int("inject-seed"));

@@ -250,6 +250,8 @@ TEST(Options, IntListParses) {
   ASSERT_TRUE(o.parse(3, argv));
   EXPECT_EQ(o.get_int_list("threads"),
             (std::vector<int>{1, 2, 4, 8, 16, 32}));
+  o.add("core", "8x4x2", "core extents");
+  EXPECT_EQ(o.get_int_list("core", 'x'), (std::vector<int>{8, 4, 2}));
 }
 
 TEST(Options, UnknownOptionThrows) {
@@ -279,10 +281,12 @@ TEST(Options, OutOfIntRangeThrowsInsteadOfWrapping) {
   o.add("chunk", "4294967297", "chunk");
   o.add("grid", "4294967297,1", "grid");
   o.add("threads", "-1", "threads");
+  o.add("core", "4294967298x2x2", "core extents");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(o.parse(1, argv));
   EXPECT_THROW((void)o.get_int_at_least("chunk", 1), Error);
   EXPECT_THROW((void)o.get_int_list("grid"), Error);
+  EXPECT_THROW((void)o.get_int_list("core", 'x'), Error);
   EXPECT_THROW((void)o.get_int_at_least("threads", 0), Error);
   o.add("ok", "7", "in range");
   EXPECT_EQ(o.get_int_at_least("ok", 7), 7);

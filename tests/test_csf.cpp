@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "csf/csf.hpp"
@@ -118,6 +121,103 @@ TEST(Csf, RejectsBadModeOrder) {
   EXPECT_THROW(CsfTensor(t, {0, 0, 2}), Error);  // not a permutation
 }
 
+// Table-driven stream fixtures: each hand tensor pins every level's fids,
+// fptr and widths plus the root nonzero prefix, under both layouts.
+struct CsfStreamCase {
+  std::string name;
+  dims_t dims;
+  std::vector<std::vector<idx_t>> coords;  ///< original mode numbering
+  std::vector<int> mode_order;
+  std::vector<std::vector<nnz_t>> fids;  ///< levels 0..order-1
+  std::vector<std::vector<nnz_t>> fptr;  ///< levels 0..order-2
+  std::vector<nnz_t> root_nnz_prefix;
+  std::vector<int> fid_widths;  ///< compressed layout; wide is all 4
+  std::vector<int> ptr_widths;  ///< compressed layout; wide is all 8
+};
+
+std::ostream& operator<<(std::ostream& os, const CsfStreamCase& c) {
+  return os << c.name;
+}
+
+const CsfStreamCase kStreamCases[] = {
+    {"order2", {3, 4}, {{2, 0}, {0, 3}, {0, 1}}, {0, 1},
+     {{0, 2}, {1, 3, 0}}, {{0, 2, 3}}, {0, 2, 3}, {1, 1}, {2}},
+    // hand_tensor(): (0,0,0) (0,0,1) (0,2,1) (1,1,0).
+    {"hand_order3", {2, 3, 2}, {{0, 0, 0}, {0, 0, 1}, {0, 2, 1}, {1, 1, 0}},
+     {0, 1, 2}, {{0, 1}, {0, 2, 1}, {0, 1, 1, 0}},
+     {{0, 2, 3}, {0, 2, 3, 4}}, {0, 3, 4}, {1, 1, 1}, {2, 2}},
+    // Levels hold modes 0, 2, 1, 3, so the fids widen u8 u8 u16 u32.
+    {"order4", {2, 300, 2, 70000},
+     {{0, 299, 1, 69999}, {0, 5, 1, 7}, {1, 5, 0, 0}, {0, 5, 0, 3}},
+     {0, 2, 1, 3}, {{0, 1}, {0, 1, 0}, {5, 5, 299, 5}, {3, 7, 69999, 0}},
+     {{0, 2, 3}, {0, 1, 3, 4}, {0, 1, 2, 3, 4}}, {0, 3, 4}, {1, 1, 2, 4},
+     {2, 2, 2}},
+    // A repeated coordinate opens no new fiber above the leaf.
+    {"duplicate", {2, 2, 2}, {{0, 1, 1}, {1, 0, 0}, {0, 1, 1}}, {0, 1, 2},
+     {{0, 1}, {1, 0}, {1, 1, 0}}, {{0, 1, 2}, {0, 2, 3}}, {0, 2, 3},
+     {1, 1, 1}, {2, 2}},
+    {"one_nonzero", {5, 6, 7}, {{3, 4, 5}}, {0, 1, 2},
+     {{3}, {4}, {5}}, {{0, 1}, {0, 1}}, {0, 1}, {1, 1, 1}, {2, 2}},
+    {"empty", {4, 5, 6}, {}, {0, 1, 2}, {{}, {}, {}}, {{0}, {0}}, {0},
+     {1, 1, 1}, {2, 2}},
+};
+
+class CsfStreamTest
+    : public ::testing::TestWithParam<std::tuple<CsfStreamCase, CsfLayout>> {
+};
+
+TEST_P(CsfStreamTest, PinsEveryLevel) {
+  const auto& [c, layout] = GetParam();
+  SparseTensor t(c.dims);
+  for (const auto& coord : c.coords) {
+    t.push_back({coord.data(), coord.size()}, 1.0);
+  }
+  sort_tensor_perm(t, c.mode_order, 1);
+  const CsfTensor csf(t, c.mode_order, layout);
+  const bool wide = layout == CsfLayout::kWide;
+
+  std::uint64_t index_bytes = 0;
+  for (int l = 0; l < csf.order(); ++l) {
+    SCOPED_TRACE("level " + std::to_string(l));
+    const auto& fids = c.fids[static_cast<std::size_t>(l)];
+    ASSERT_EQ(csf.nfibers(l), fids.size());
+    EXPECT_EQ(csf.fid_width(l),
+              wide ? 4 : c.fid_widths[static_cast<std::size_t>(l)]);
+    EXPECT_EQ(csf.fid_stream(l).width, csf.fid_width(l));
+    for (nnz_t f = 0; f < fids.size(); ++f) {
+      EXPECT_EQ(csf.fid(l, f), fids[f]) << "fiber " << f;
+    }
+    index_bytes += fids.size() * static_cast<std::uint64_t>(csf.fid_width(l));
+    if (l == csf.order() - 1) continue;
+    const auto& fptr = c.fptr[static_cast<std::size_t>(l)];
+    ASSERT_EQ(fptr.size(), fids.size() + 1);
+    EXPECT_EQ(csf.ptr_width(l),
+              wide ? 8 : c.ptr_widths[static_cast<std::size_t>(l)]);
+    EXPECT_EQ(csf.ptr_stream(l).width, csf.ptr_width(l));
+    for (nnz_t f = 0; f < fptr.size(); ++f) {
+      EXPECT_EQ(csf.ptr(l, f), fptr[f]) << "entry " << f;
+    }
+    index_bytes += fptr.size() * static_cast<std::uint64_t>(csf.ptr_width(l));
+  }
+  EXPECT_EQ(std::vector<nnz_t>(csf.root_nnz_prefix().begin(),
+                               csf.root_nnz_prefix().end()),
+            c.root_nnz_prefix);
+  EXPECT_EQ(csf.index_bytes(), index_bytes);
+  EXPECT_EQ(csf.memory_bytes(),
+            index_bytes + c.coords.size() * sizeof(val_t) +
+                c.root_nnz_prefix.size() * sizeof(nnz_t));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HandTensors, CsfStreamTest,
+    ::testing::Combine(::testing::ValuesIn(kStreamCases),
+                       ::testing::Values(CsfLayout::kCompressed,
+                                         CsfLayout::kWide)),
+    [](const auto& info) {
+      return std::get<0>(info.param).name + "_" +
+             csf_layout_name(std::get<1>(info.param));
+    });
+
 // Round-trip sweep over orders, roots, and skew.
 class CsfRoundTripTest
     : public ::testing::TestWithParam<std::tuple<int, int, double>> {};
@@ -156,14 +256,13 @@ TEST(Csf, FiberPointersAreMonotoneAndCover) {
   sort_tensor_perm(t, order, 1);
   const CsfTensor csf(t, order, CsfLayout::kWide);
   for (int l = 0; l < csf.order() - 1; ++l) {
-    const auto view = csf.level_view<idx_t, nnz_t>(l);
-    ASSERT_EQ(view.nfibers, csf.nfibers(l));
-    const nnz_t* fp = view.fptr;  // nfibers + 1 entries
+    const nnz_t nfibers = csf.nfibers(l);
+    const PtrStreamRef fp = csf.ptr_stream(l);  // nfibers + 1 entries
     EXPECT_EQ(fp[0], 0u);
-    for (nnz_t i = 1; i <= view.nfibers; ++i) {
+    for (nnz_t i = 1; i <= nfibers; ++i) {
       EXPECT_LT(fp[i - 1], fp[i]);  // strictly increasing: no empty fibers
     }
-    EXPECT_EQ(fp[view.nfibers], csf.nfibers(l + 1));
+    EXPECT_EQ(fp[nfibers], csf.nfibers(l + 1));
   }
 }
 
@@ -173,9 +272,8 @@ TEST(Csf, RootFidsAreStrictlyIncreasing) {
   const auto order = csf_mode_order(t.dims(), 0);
   sort_tensor_perm(t, order, 1);
   const CsfTensor csf(t, order, CsfLayout::kWide);
-  const auto view = csf.level_view<idx_t, nnz_t>(0);
-  for (nnz_t i = 1; i < view.nfibers; ++i) {
-    EXPECT_LT(view.fids[i - 1], view.fids[i]);
+  for (nnz_t i = 1; i < csf.nfibers(0); ++i) {
+    EXPECT_LT(csf.fid(0, i - 1), csf.fid(0, i));
   }
 }
 

@@ -136,21 +136,24 @@ TEST(CsfCompressed, ToCooRoundTripsAcrossBoundaryDims) {
   }
 }
 
-TEST(CsfCompressed, TypedLevelViewMatchesErasedAccessors) {
+TEST(CsfCompressed, TypedStreamBasesMatchErasedAccessors) {
   SparseTensor t = make_tensor({100, 300, 50000}, 2000, 15);
   const auto order = csf_mode_order(t.dims(), -1);  // {0, 1, 2}
   sort_tensor_perm(t, order, 1);
   const CsfTensor csf(t, order);
-  ASSERT_EQ(csf.fid_width(0), 1);
-  ASSERT_EQ(csf.ptr_width(0), 2);
-  const auto view = csf.level_view<std::uint8_t, std::uint16_t>(0);
-  ASSERT_EQ(view.nfibers, csf.nfibers(0));
-  for (nnz_t f = 0; f < view.nfibers; ++f) {
-    EXPECT_EQ(static_cast<idx_t>(view.fids[f]), csf.fid(0, f));
-    EXPECT_EQ(static_cast<nnz_t>(view.fptr[f]), csf.ptr(0, f));
+  const FidStreamRef fids = csf.fid_stream(0);
+  const PtrStreamRef fptr = csf.ptr_stream(0);
+  ASSERT_EQ(fids.width, 1);
+  ASSERT_EQ(fptr.width, 2);
+  // The kernels' typed views cast the bases to the stored types.
+  const auto* typed_fids = static_cast<const std::uint8_t*>(fids.base);
+  const auto* typed_fptr = static_cast<const std::uint16_t*>(fptr.base);
+  for (nnz_t f = 0; f < csf.nfibers(0); ++f) {
+    EXPECT_EQ(static_cast<idx_t>(typed_fids[f]), csf.fid(0, f));
+    EXPECT_EQ(static_cast<nnz_t>(typed_fptr[f]), csf.ptr(0, f));
   }
-  // Width mismatch is an error, not a garbage view.
-  EXPECT_THROW((csf.level_view<std::uint32_t, std::uint16_t>(0)), Error);
+  EXPECT_EQ(static_cast<nnz_t>(typed_fptr[csf.nfibers(0)]),
+            csf.ptr(0, csf.nfibers(0)));
 }
 
 TEST(CsfCompressed, SetReportsLayoutAndShrinks) {

@@ -739,11 +739,9 @@ TEST(RankDeficient, SingularGramConvergesViaTikhonovBump) {
   o.tolerance = 0.0;
   o.seed = 23;
   o.nthreads = 1;
-  const std::uint64_t bumps_before = la::tikhonov_bump_count();
   const CpalsResult r = cp_als(x, o);
-  EXPECT_GT(la::tikhonov_bump_count(), bumps_before)
+  EXPECT_GT(r.resilience.gram_bumps, 0u)
       << "singular Gram never triggered the Tikhonov retry";
-  EXPECT_GT(r.resilience.gram_bumps, 0u);
   for (const double f : r.fit_history) {
     EXPECT_TRUE(std::isfinite(f));
   }
@@ -766,34 +764,39 @@ TEST(RankDeficient, GramBumpsCountOnlyTheRunsOwnSolves) {
   singular_opts.seed = 23;
   singular_opts.nthreads = 1;
   std::atomic<bool> stop{false};
-  const std::uint64_t bumps_at_start = la::tikhonov_bump_count();
+  std::atomic<bool> every_singular_run_bumped{true};
+  std::atomic<std::uint64_t> singular_runs{0};  // bumped after each run
   std::thread singular([&] {
     while (!stop.load()) {
       // The {1,1,20} tensor of SingularGramConvergesViaTikhonovBump.
       SparseTensor x = generate_synthetic({.dims = {1, 1, 20}, .nnz = 8,
                                            .seed = 42,
                                            .zipf_exponent = 0.3});
-      (void)cp_als(x, singular_opts);
+      if (cp_als(x, singular_opts).resilience.gram_bumps == 0) {
+        every_singular_run_bumped.store(false);
+      }
+      singular_runs.fetch_add(1);
     }
   });
-  while (la::tikhonov_bump_count() == bumps_at_start) {
-    std::this_thread::yield();
-  }
 
   // Overlap is up to the scheduler, so repeat until a healthy run
-  // provably ran while the other thread bumped (a loaded box may need a
-  // few tries); every attempt must report zero bumps of its own.
+  // provably overlapped a whole bumping run: the counter advanced by two
+  // while it ran, so at least one singular run started and finished
+  // inside it (a loaded box may need a few tries). Every attempt must
+  // report zero bumps of its own.
   bool overlapped = false;
   for (int attempt = 0; attempt < 200 && !overlapped; ++attempt) {
     SparseTensor x = test_tensor();
-    const std::uint64_t before = la::tikhonov_bump_count();
+    const std::uint64_t before = singular_runs.load();
     const CpalsResult healthy = cp_als(x, cpals_base());
-    overlapped = la::tikhonov_bump_count() > before;
+    overlapped = singular_runs.load() - before >= 2;
     EXPECT_EQ(healthy.resilience.gram_bumps, 0u) << "attempt " << attempt;
   }
   stop.store(true);
   singular.join();
-  EXPECT_TRUE(overlapped) << "no healthy run overlapped the singular runs";
+  EXPECT_TRUE(overlapped) << "no healthy run overlapped a singular run";
+  EXPECT_TRUE(every_singular_run_bumped.load())
+      << "a singular run applied no Tikhonov bump";
 }
 
 TEST(RankDeficient, PotrfReportsFailureOnSingularMatrix) {

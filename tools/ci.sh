@@ -249,7 +249,7 @@ if "$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --rank 8 --iters 2 \
 fi
 echo "ci: single-locale dist models equal cp_als; ignored flags refused"
 # Integer flags past int's range are refused naming the flag, never
-# narrowed. Each value wraps to 1 or 2 when narrowed to int, so a build
+# narrowed. Each value wraps to 1..5 when narrowed to 32 bits, so a build
 # that wraps runs a tiny job instead of failing here.
 expect_flag_refused() {  # <flag> <sptd args...>
   local flag="$1" err
@@ -270,7 +270,22 @@ expect_flag_refused dist-grid cpd --dist-grid 4294967297,1,1
 expect_flag_refused threads tucker --threads 4294967298
 expect_flag_refused threads complete --threads 4294967298
 expect_flag_refused chunk complete --chunk 4294967297
-echo "ci: out-of-range --chunk/--threads/--dist-grid refused"
+expect_flag_refused rank cpd --rank 4294967301
+expect_flag_refused rank cpd --dist-grid 1,1,1 --rank 4294967301
+expect_flag_refused rank complete --rank 4294967301
+expect_flag_refused checkpoint-every cpd --checkpoint-every 4294967297
+expect_flag_refused core tucker --core 4294967298x2x2
+# The helper appends --iters 1, so the --iters case runs on its own.
+if err="$("$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --iters 4294967298 \
+    2>&1 > /dev/null)"; then
+  echo "ci: sptd cpd accepted an out-of-range --iters" >&2
+  exit 1
+fi
+grep -q -- "--iters" <<< "$err" \
+  || { echo "ci: sptd cpd failed without naming --iters: $err" >&2
+       exit 1; }
+echo "ci: out-of-range --chunk/--threads/--dist-grid/--rank/--iters/"\
+"--checkpoint-every/--core refused"
 
 echo "== dist recovery smoke: SIGKILL a real rank, recover, bitwise =="
 # rank-kill:1@3 makes the rank-1 child SIGKILL itself mid-iteration; the

@@ -287,8 +287,8 @@ int cmd_cpd(int argc, const char* const* argv) {
       SPTD_CHECK(g >= 1, "cpd: --dist-grid extents must be >= 1");
       dopts.grid.push_back(static_cast<idx_t>(g));
     }
-    dopts.rank = static_cast<idx_t>(cli.get_int("rank"));
-    dopts.max_iterations = static_cast<int>(cli.get_int("iters"));
+    dopts.rank = static_cast<idx_t>(cli.get_int_at_least("rank", 1));
+    dopts.max_iterations = cli.get_int_at_least("iters", 1);
     dopts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     dopts.schedule = parse_schedule_policy(cli.get_string("schedule"));
     dopts.chunk_target = cli.get_int_at_least("chunk", 1);
@@ -327,8 +327,8 @@ int cmd_cpd(int argc, const char* const* argv) {
   }
 
   CpalsOptions opts;
-  opts.rank = static_cast<idx_t>(cli.get_int("rank"));
-  opts.max_iterations = static_cast<int>(cli.get_int("iters"));
+  opts.rank = static_cast<idx_t>(cli.get_int_at_least("rank", 1));
+  opts.max_iterations = cli.get_int_at_least("iters", 1);
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opts.nthreads = cli.get_int_at_least("threads", 0);
@@ -396,18 +396,11 @@ int cmd_tucker(int argc, const char* const* argv) {
   const SparseTensor t = load(cli.positional().front());
 
   TuckerOptions opts;
-  {
-    const std::string s = cli.get_string("core");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      std::size_t x = s.find('x', pos);
-      if (x == std::string::npos) x = s.size();
-      opts.core_dims.push_back(
-          static_cast<idx_t>(std::stoul(s.substr(pos, x - pos))));
-      pos = x + 1;
-    }
+  for (const int extent : cli.get_int_list("core", 'x')) {
+    SPTD_CHECK(extent >= 1, "tucker: --core extents must be >= 1");
+    opts.core_dims.push_back(static_cast<idx_t>(extent));
   }
-  opts.max_iterations = static_cast<int>(cli.get_int("iters"));
+  opts.max_iterations = cli.get_int_at_least("iters", 1);
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   opts.nthreads = cli.get_int_at_least("threads", 0);
@@ -463,8 +456,8 @@ int cmd_complete(int argc, const char* const* argv) {
 
   CompletionOptions opts;
   opts.algorithm = parse_completion_algorithm(cli.get_string("alg"));
-  opts.rank = static_cast<idx_t>(cli.get_int("rank"));
-  opts.max_iterations = static_cast<int>(cli.get_int("iters"));
+  opts.rank = static_cast<idx_t>(cli.get_int_at_least("rank", 1));
+  opts.max_iterations = cli.get_int_at_least("iters", 1);
   opts.regularization = cli.get_double("reg");
   opts.learn_rate = cli.get_double("lr");
   opts.decay = cli.get_double("decay");
