@@ -1,5 +1,6 @@
 #include "common/options.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -108,11 +109,16 @@ bool Options::get_bool(const std::string& name) const {
 std::vector<int> Options::get_int_list(const std::string& name,
                                        char separator) const {
   const std::string s = get_string(name);
+  SPTD_CHECK(!s.empty(), "option --" + name + " list is empty");
   std::vector<int> out;
-  std::stringstream ss(s);
-  std::string tok;
-  while (std::getline(ss, tok, separator)) {
-    if (tok.empty()) continue;
+  // Every separator splits two entries, so a leading, doubled or trailing
+  // one leaves an empty entry, which is refused rather than skipped.
+  for (std::size_t at = 0; at <= s.size();) {
+    const std::size_t stop = std::min(s.find(separator, at), s.size());
+    const std::string tok = s.substr(at, stop - at);
+    at = stop + 1;
+    SPTD_CHECK(!tok.empty(), "option --" + name + " has an empty entry in '" +
+                                 s + "'");
     char* end = nullptr;
     const long v = std::strtol(tok.c_str(), &end, 10);
     SPTD_CHECK(end != tok.c_str() && *end == '\0',
@@ -122,7 +128,6 @@ std::vector<int> Options::get_int_list(const std::string& name,
                "option --" + name + " entry out of int range: '" + tok + "'");
     out.push_back(static_cast<int>(v));
   }
-  SPTD_CHECK(!out.empty(), "option --" + name + " list is empty");
   return out;
 }
 

@@ -44,7 +44,8 @@ class Options {
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
   /// Parses a \p separator-separated integer list, e.g. "1,2,4,8,16,32"
-  /// or, with 'x', "8x8x8". An entry outside int's range throws naming the
+  /// or, with 'x', "8x8x8". An empty entry (a leading, doubled or
+  /// trailing separator) or one outside int's range throws naming the
   /// option.
   [[nodiscard]] std::vector<int> get_int_list(const std::string& name,
                                               char separator = ',') const;

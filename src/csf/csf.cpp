@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "parallel/partition.hpp"
+#include "parallel/team.hpp"
 #include "sort/sort.hpp"
 
 namespace sptd {
@@ -60,16 +63,32 @@ void put(void* bytes, int width, nnz_t i, std::uint64_t v) {
   }
 }
 
+/// Narrows entries [begin, end) of \p in into the fid stream \p bytes of
+/// \p width bytes (1, 2 or 4), resolving the width once.
+void put_fids(void* bytes, int width, const idx_t* in, nnz_t begin,
+              nnz_t end) {
+  const auto narrow = [&](auto* out) {
+    using T = std::remove_pointer_t<decltype(out)>;
+    for (nnz_t x = begin; x < end; ++x) out[x] = static_cast<T>(in[x]);
+  };
+  switch (width) {
+    case 1: narrow(static_cast<std::uint8_t*>(bytes)); break;
+    case 2: narrow(static_cast<std::uint16_t*>(bytes)); break;
+    default: narrow(static_cast<std::uint32_t*>(bytes)); break;
+  }
+}
+
 }  // namespace
 
 CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
-                     CsfLayout layout)
+                     CsfLayout layout, int nthreads)
     : dims_(coo.dims()), mode_order_(std::move(mode_order)),
       layout_(layout) {
   const int order = coo.order();
   SPTD_CHECK(static_cast<int>(mode_order_.size()) == order,
              "CsfTensor: mode order length mismatch");
   SPTD_CHECK(order >= 2, "CsfTensor: order must be >= 2");
+  SPTD_CHECK(nthreads >= 1, "CsfTensor: nthreads must be >= 1");
   {
     std::vector<int> check = mode_order_;
     std::sort(check.begin(), check.end());
@@ -83,18 +102,37 @@ CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
 
   const nnz_t nnz = coo.nnz();
   const int leaf = order - 1;
-  vals_.assign(coo.vals().begin(), coo.vals().end());
+  const auto lorder = static_cast<std::size_t>(order);
   std::array<const idx_t*, kMaxOrder> ind{};
   for (int l = 0; l < order; ++l) {
     ind[static_cast<std::size_t>(l)] = coo.ind(mode_at_level(l)).data();
   }
 
+  // Block b is nonzeros [cut[b], cut[b + 1]): block_partition's cuts,
+  // each moved forward to the next change of the root index, so every
+  // block holds whole root slices and no fiber crosses a cut. The blocks
+  // are fixed here, whatever team size a region runs with.
+  const auto nblocks = static_cast<std::size_t>(nthreads);
+  std::vector<nnz_t> cut(nblocks + 1, nnz);
+  cut[0] = 0;
+  const idx_t* root = ind[0];
+  for (std::size_t b = 1; b < nblocks; ++b) {
+    nnz_t c = std::max(
+        block_partition(nnz, nthreads, static_cast<int>(b)).begin,
+        cut[b - 1]);
+    if (c > 0 && c < nnz && root[c] == root[c - 1]) {
+      c = static_cast<nnz_t>(
+          std::upper_bound(root + c, root + nnz, root[c - 1]) - root);
+    }
+    cut[b] = c;
+  }
+
   // Nonzero x opens a new fiber at every level from the shallowest one at
-  // which it differs from nonzero x-1 down to the leaf (x = 0 opens one at
-  // every level; a nonzero that differs only at the leaf, or a duplicate,
-  // opens only its leaf).
-  const auto first_new_level = [&](nnz_t x) {
-    if (x == 0) return 0;
+  // which it differs from nonzero x-1 down to the leaf (a block's first
+  // nonzero opens one at every level; a nonzero that differs only at the
+  // leaf, or a duplicate, opens only its leaf).
+  const auto first_new_level = [&](nnz_t x, nnz_t begin) {
+    if (x == begin) return 0;
     int l = 0;
     while (l < leaf && ind[static_cast<std::size_t>(l)][x] ==
                            ind[static_cast<std::size_t>(l)][x - 1]) {
@@ -103,15 +141,30 @@ CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
     return l;
   };
 
-  // Pass 1: count the fibers per level. The counts fix every stream's
-  // length and its fptr width (the largest fptr entry at level l is the
-  // fiber count of level l+1).
+  // Region 1: each block counts the fibers it opens per level. Row b of
+  // `first` holds block b's counts, then (after the scan) its first fiber
+  // index per level.
+  std::vector<nnz_t> first(nblocks * lorder, 0);
+  parallel_region(nthreads, [&](int tid, int nt) {
+    for (auto b = static_cast<std::size_t>(tid); b < nblocks;
+         b += static_cast<std::size_t>(nt)) {
+      std::array<nnz_t, kMaxOrder> count{};
+      for (nnz_t x = cut[b]; x < cut[b + 1]; ++x) {
+        ++count[static_cast<std::size_t>(first_new_level(x, cut[b]))];
+      }
+      for (std::size_t l = 1; l < lorder; ++l) count[l] += count[l - 1];
+      std::copy_n(count.begin(), lorder, first.begin() + b * lorder);
+    }
+  });
+  // The totals fix every stream's length and its fptr width (the largest
+  // fptr entry at level l is the fiber count of level l+1).
   std::array<nnz_t, kMaxOrder> nfib{};
-  for (nnz_t x = 0; x < nnz; ++x) {
-    ++nfib[static_cast<std::size_t>(first_new_level(x))];
-  }
-  for (int l = 1; l < order; ++l) {
-    nfib[static_cast<std::size_t>(l)] += nfib[static_cast<std::size_t>(l - 1)];
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    for (std::size_t l = 0; l < lorder; ++l) {
+      const nnz_t count = first[b * lorder + l];
+      first[b * lorder + l] = nfib[l];
+      nfib[l] += count;
+    }
   }
   const auto make_stream = [](nnz_t size, int width) {
     return Stream{std::unique_ptr<void, FreeBytes>(::operator new(
@@ -119,7 +172,7 @@ CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
                       static_cast<std::size_t>(width))),
                   size, static_cast<std::uint8_t>(width)};
   };
-  fids_.reserve(static_cast<std::size_t>(order));
+  fids_.reserve(lorder);
   fptrs_.reserve(static_cast<std::size_t>(leaf));
   for (int l = 0; l < order; ++l) {
     const auto lz = static_cast<std::size_t>(l);
@@ -130,34 +183,42 @@ CsfTensor::CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
           nfib[lz] + 1, csf_ptr_width_for(nfib[lz + 1], layout)));
     }
   }
-
-  // Pass 2: write every stream once, at its width. pos[l] counts the
-  // fibers written at level l; at the leaf it is the nonzero itself.
   root_nnz_prefix_.resize(static_cast<std::size_t>(nfib[0]) + 1);
-  std::array<nnz_t, kMaxOrder> pos{};
-  for (nnz_t x = 0; x < nnz; ++x) {
-    pos[static_cast<std::size_t>(leaf)] = x;
-    const int d = first_new_level(x);
-    if (d == 0) root_nnz_prefix_[static_cast<std::size_t>(pos[0])] = x;
-    for (int l = d; l < leaf; ++l) {
-      const auto lz = static_cast<std::size_t>(l);
-      put(fptrs_[lz].bytes.get(), fptrs_[lz].width, pos[lz], pos[lz + 1]);
-      put(fids_[lz].bytes.get(), fids_[lz].width, pos[lz], ind[lz][x]);
-      ++pos[lz];
+  vals_.resize(nnz);
+
+  // Region 2: each block writes its fibers' fid and fptr entries, its
+  // root prefix entries, its leaf fids and its values, each stream once
+  // at its width. pos[l] is the next fiber index at level l; at the leaf
+  // it is the nonzero itself.
+  const auto leafz = static_cast<std::size_t>(leaf);
+  const val_t* vals = coo.vals().data();
+  parallel_region(nthreads, [&](int tid, int nt) {
+    for (auto b = static_cast<std::size_t>(tid); b < nblocks;
+         b += static_cast<std::size_t>(nt)) {
+      std::array<nnz_t, kMaxOrder> pos{};
+      std::copy_n(first.data() + b * lorder, lorder, pos.begin());
+      for (nnz_t x = cut[b]; x < cut[b + 1]; ++x) {
+        pos[leafz] = x;
+        const int d = first_new_level(x, cut[b]);
+        if (d == 0) root_nnz_prefix_[static_cast<std::size_t>(pos[0])] = x;
+        for (int l = d; l < leaf; ++l) {
+          const auto lz = static_cast<std::size_t>(l);
+          put(fptrs_[lz].bytes.get(), fptrs_[lz].width, pos[lz],
+              pos[lz + 1]);
+          put(fids_[lz].bytes.get(), fids_[lz].width, pos[lz], ind[lz][x]);
+          ++pos[lz];
+        }
+      }
+      put_fids(fids_[leafz].bytes.get(), fids_[leafz].width, ind[leafz],
+               cut[b], cut[b + 1]);
+      std::copy(vals + cut[b], vals + cut[b + 1], vals_.data() + cut[b]);
     }
-  }
+  });
   for (int l = 0; l < leaf; ++l) {
     const auto lz = static_cast<std::size_t>(l);
     put(fptrs_[lz].bytes.get(), fptrs_[lz].width, nfib[lz], nfib[lz + 1]);
   }
   root_nnz_prefix_.back() = nnz;
-
-  // Leaf fids, narrowed straight from the COO index array.
-  Stream& leaf_fids = fids_[static_cast<std::size_t>(leaf)];
-  const idx_t* leaf_ind = ind[static_cast<std::size_t>(leaf)];
-  for (nnz_t x = 0; x < nnz; ++x) {
-    put(leaf_fids.bytes.get(), leaf_fids.width, x, leaf_ind[x]);
-  }
 }
 
 CsfStreamRefs CsfTensor::stream_refs() const {
@@ -330,7 +391,7 @@ CsfSet::CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
     // Figure 1 ablation: every representation re-sorted by the variant.
     for (const auto& ord : orders) {
       charge([&] { sort_tensor_perm(coo, ord, nthreads, sort_variant); });
-      csfs_.emplace_back(coo, ord, layout);
+      csfs_.emplace_back(coo, ord, layout, nthreads);
     }
     return;
   }
@@ -340,8 +401,8 @@ CsfSet::CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
   // sorted COO gives it. Each root is derived from the ascending order,
   // never from the previous root (chaining b then c would give (c,b,a)).
   // The last representation's pass lands in coo, per the contract above.
-  // A build from coo frees the scratch first, so peak memory stays at coo
-  // + one scratch copy + the CSFs.
+  // The scratch lives until no later pass needs it (see the header), so
+  // peak memory stays at coo + one scratch copy + the CSFs.
   const std::vector<int> ascending = csf_mode_order(dims, -1);
   SparseTensor scratch;
   charge([&] { stable_sort_perm(coo, ascending, nthreads, scratch); });
@@ -355,8 +416,11 @@ CsfSet::CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
       if (last) std::swap(coo, scratch);
     }
     const bool from_coo = ord == ascending || last;
-    if (from_coo) scratch = SparseTensor();
-    csfs_.emplace_back(from_coo ? coo : scratch, ord, layout);
+    const bool pass_later = std::any_of(
+        orders.begin() + static_cast<std::ptrdiff_t>(i) + 1, orders.end(),
+        [&](const std::vector<int>& o) { return o != ascending; });
+    if (from_coo && !pass_later) scratch = SparseTensor();
+    csfs_.emplace_back(from_coo ? coo : scratch, ord, layout, nthreads);
   }
 }
 

@@ -21,6 +21,15 @@
 /// to the stored integer type and instantiates its inner loops per width
 /// pair, so the hot loop streams exactly the stored bytes.
 ///
+/// The build makes two passes over the sorted nonzeros, each one parallel
+/// region over the same blocks: block_partition's cuts moved forward to
+/// the next root-index change, so every block holds whole root slices and
+/// no fiber crosses a cut. Region 1 counts each block's fibers per level;
+/// a serial scan turns the counts into each block's first fiber per level
+/// and the totals into the stream lengths and fptr widths; region 2 writes
+/// each block's entries of every stream at those offsets. The bytes
+/// stored do not depend on the thread count.
+///
 /// SPLATT allocates one, two, or N representations per tensor (trading
 /// memory for always-root MTTKRP kernels); `CsfSet` reproduces those
 /// policies and the per-mode kernel dispatch.
@@ -113,8 +122,11 @@ class CsfTensor {
   /// Builds a CSF from \p coo, which MUST already be sorted
   /// lexicographically by \p mode_order (see sort_tensor_perm).
   /// \p mode_order[0] is the root mode; \p mode_order.back() the leaf.
+  /// The build runs over \p nthreads blocks of whole root slices in two
+  /// parallel regions (see the file comment); every thread count stores
+  /// the same bytes.
   CsfTensor(const SparseTensor& coo, std::vector<int> mode_order,
-            CsfLayout layout = CsfLayout::kCompressed);
+            CsfLayout layout = CsfLayout::kCompressed, int nthreads = 1);
 
   /// Number of modes.
   [[nodiscard]] int order() const {
@@ -242,7 +254,8 @@ class CsfTensor {
   CsfLayout layout_;
   std::vector<Stream> fptrs_;  ///< levels 0..order-2
   std::vector<Stream> fids_;   ///< levels 0..order-1
-  aligned_vector<val_t> vals_;
+  /// Written in full by the build, so it grows without a fill.
+  std::vector<val_t, DefaultInitAllocator<AlignedAllocator<val_t>>> vals_;
   mutable aligned_vector<float> vals_f32_;  ///< lazy precision!=f64 stream
   std::vector<nnz_t> root_nnz_prefix_;
 };
@@ -279,7 +292,15 @@ class CsfSet {
   /// sort_tensor_perm. Both give the same CSFs on duplicate-free input.
   /// \p sort_seconds, if non-null, accumulates time spent sorting, every
   /// pass included (the paper's "Sort" routine). \p layout selects the
-  /// index stream widths of every representation.
+  /// index stream widths of every representation; every CSF is built on
+  /// \p nthreads threads.
+  ///
+  /// Scratch lifetime (production path): the sort's scratch COO stays
+  /// allocated until the last stable_counting_pass, so every pass after
+  /// the sort writes into pages already faulted in. It is freed before a
+  /// build only once no later pass needs it (kOneMode, or the last
+  /// representation). The peak is unchanged by keeping it: coo + scratch
+  /// + the CSFs built so far, reached during the last pass either way.
   CsfSet(SparseTensor& coo, CsfPolicy policy, int nthreads,
          double* sort_seconds = nullptr,
          SortVariant sort_variant = SortVariant::kAllOpts,

@@ -75,7 +75,8 @@ void sort_tensor_perm(SparseTensor& t, std::span<const int> perm,
 /// slice's share from block t lands after blocks < t, which keeps the pass
 /// stable), then every thread scatters its block. \p dst is reshaped to
 /// \p src's dims and nnz only when they differ, so a scratch tensor passed
-/// to every pass is allocated once.
+/// to every pass is allocated once; \p dst's old contents are never read
+/// (the pass writes every entry).
 void stable_counting_pass(const SparseTensor& src, SparseTensor& dst,
                           int key_mode, int nthreads);
 

@@ -33,9 +33,9 @@ void SparseTensor::reserve(nnz_t n) {
 
 void SparseTensor::resize_nnz(nnz_t n) {
   for (auto& v : inds_) {
-    v.resize(n, idx_t{0});
+    v.resize(n);
   }
-  vals_.resize(n, val_t{0});
+  vals_.resize(n);
 }
 
 std::array<idx_t, kMaxOrder> SparseTensor::coord(nnz_t x) const {
@@ -106,8 +106,8 @@ bool SparseTensor::coord_less(nnz_t a, nnz_t b,
   return false;
 }
 
-void SparseTensor::swap_storage(std::vector<std::vector<idx_t>>& inds,
-                                std::vector<val_t>& vals) {
+void SparseTensor::swap_storage(std::vector<uninit_vector<idx_t>>& inds,
+                                uninit_vector<val_t>& vals) {
   SPTD_CHECK(inds.size() == inds_.size(), "swap_storage: order mismatch");
   for (const auto& mode : inds) {
     SPTD_CHECK(mode.size() == vals.size(),

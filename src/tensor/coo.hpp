@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -63,8 +64,10 @@ class SparseTensor {
   /// Pre-allocates capacity for \p n nonzeros.
   void reserve(nnz_t n);
 
-  /// Resizes the nonzero arrays (new entries zero); used by builders that
-  /// fill in parallel.
+  /// Resizes the nonzero arrays. Entries past the old nnz are unspecified
+  /// (neither zeroed nor touched): every caller — the sort's scratch,
+  /// read_bin_file, the completion and reorder copies — overwrites each
+  /// one before it is read.
   void resize_nnz(nnz_t n);
 
   /// Coordinates of nonzero \p x as a fixed buffer (first order() valid).
@@ -95,13 +98,13 @@ class SparseTensor {
   /// built ones — the C pointer-swap reassignment idiom the paper's
   /// Slices-opt restores (Section V-C). \p inds must have order() arrays,
   /// all lengths equal to vals.size().
-  void swap_storage(std::vector<std::vector<idx_t>>& inds,
-                    std::vector<val_t>& vals);
+  void swap_storage(std::vector<uninit_vector<idx_t>>& inds,
+                    uninit_vector<val_t>& vals);
 
  private:
   dims_t dims_;
-  std::vector<std::vector<idx_t>> inds_;
-  std::vector<val_t> vals_;
+  std::vector<uninit_vector<idx_t>> inds_;
+  uninit_vector<val_t> vals_;
 };
 
 }  // namespace sptd

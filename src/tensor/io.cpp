@@ -229,7 +229,8 @@ class TnsParser {
         st_(st),
         stream_bytes_(stream_bytes),
         pieces_(static_cast<std::size_t>(team)),
-        cut_(static_cast<std::size_t>(team) + 1) {}
+        cut_(static_cast<std::size_t>(team) + 1),
+        at_(static_cast<std::size_t>(team)) {}
 
   /// Parses the complete lines of [p, e).
   void block(const char* p, const char* e) {
@@ -279,20 +280,36 @@ class TnsParser {
 
     if (vals_.empty()) reserve(len);
 
-    // Append in file order; the first fault in file order is reported.
-    for (const Piece& pc : pieces_) {
+    // Diagnostics and offsets in file order (the first fault in file
+    // order is reported), then every piece is copied to its offset.
+    nnz_t total = vals_.size();
+    for (std::size_t k = 0; k < team; ++k) {
+      const Piece& pc = pieces_[k];
       if (pc.dropped > 0) {
         report({pc.first.fault, pc.first.arg, lines_ + pc.first.line},
                pc.dropped);
       }
       for (std::size_t m = 0; m < inds_.size(); ++m) {
-        inds_[m].insert(inds_[m].end(), pc.inds[m].begin(),
-                        pc.inds[m].end());
         dims_[m] = std::max(dims_[m], pc.dims[m]);
       }
-      vals_.insert(vals_.end(), pc.vals.begin(), pc.vals.end());
       lines_ += pc.lines;
+      at_[k] = total;
+      total += pc.vals.size();
     }
+    for (auto& mode : inds_) mode.resize(total);
+    vals_.resize(total);
+    parallel_region(threads, [&](int tid, int nt) {
+      for (auto k = static_cast<std::size_t>(tid); k < team;
+           k += static_cast<std::size_t>(nt)) {
+        const Piece& pc = pieces_[k];
+        for (std::size_t m = 0; m < inds_.size(); ++m) {
+          std::copy(pc.inds[m].begin(), pc.inds[m].end(),
+                    inds_[m].begin() + static_cast<std::ptrdiff_t>(at_[k]));
+        }
+        std::copy(pc.vals.begin(), pc.vals.end(),
+                  vals_.begin() + static_cast<std::ptrdiff_t>(at_[k]));
+      }
+    });
   }
 
   SparseTensor finish() {
@@ -337,11 +354,12 @@ class TnsParser {
   std::uint64_t stream_bytes_;  ///< stream length, 0 when unknown
   std::vector<Piece> pieces_;
   std::vector<const char*> cut_;  ///< piece k is [cut_[k], cut_[k + 1])
+  std::vector<nnz_t> at_;         ///< piece k's first nonzero in the tensor
   std::string scratch_;
   int order_ = -1;
   nnz_t lines_ = 0;  ///< lines consumed by earlier blocks and pieces
-  std::vector<std::vector<idx_t>> inds_;
-  std::vector<val_t> vals_;
+  std::vector<uninit_vector<idx_t>> inds_;
+  uninit_vector<val_t> vals_;
   dims_t dims_;
 };
 

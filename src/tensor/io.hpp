@@ -18,10 +18,12 @@
 ///    sets the team; a block under 64 KiB runs its pieces on the calling
 ///    thread. Order inference runs serially, before any piece, on the
 ///    lines up to the first one that yields an order.
-///  * **Deterministic result.** Pieces are appended in file order, so the
-///    tensor (indices, values, dims) is bit-identical for every team size,
-///    block size and backend. Diagnostics keep their text and global line
-///    numbers; the fault that comes first in the file wins.
+///  * **Deterministic result.** The tensor arrays grow uninitialized by a
+///    block's nonzeros, then the same team copies every piece to its
+///    file-order offset, so the tensor (indices, values, dims) is
+///    bit-identical for every team size, block size and backend.
+///    Diagnostics keep their text and global line numbers; the fault that
+///    comes first in the file wins.
 ///  * **Memory.** One copy of the tensor, appended to block by block
 ///    (sized up front from the first block when the stream can seek) and
 ///    handed to the SparseTensor without a copy, plus a constant-size

@@ -642,11 +642,14 @@ TEST(PoolBackendStress, NestedRegionsSerializeWithoutDeadlock) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-// The production CsfSet sort on pool teams: each stable counting pass
-// fills per-thread histogram rows, scans them on the submitter, then
-// scatters every block into disjoint destination slots. A cursor row
-// shared between tids or a scatter slot written twice is a TSan race on
-// plain memory here, and a bitwise mismatch against the 1-thread build.
+// The production CsfSet sort and build on pool teams. Each stable
+// counting pass fills per-thread histogram rows, scans them on the
+// submitter, then scatters every block into disjoint destination slots;
+// each CSF build counts fibers per block of whole root slices, scans the
+// counts on the submitter, then writes every block's stream entries at
+// disjoint offsets. A row shared between tids or a slot written twice is
+// a TSan race on plain memory here, and a bitwise mismatch against the
+// 1-thread build.
 TEST(PoolBackendStress, StableSortCsfSetBitwiseUnderPoolTeams) {
   PoolBackendSection section;
   const SparseTensor input = generate_synthetic(
@@ -664,13 +667,18 @@ TEST(PoolBackendStress, StableSortCsfSetBitwiseUnderPoolTeams) {
       ASSERT_EQ(a.mode_order(), b.mode_order());
       for (int l = 0; l < b.order(); ++l) {
         ASSERT_EQ(a.nfibers(l), b.nfibers(l));
+        ASSERT_EQ(a.fid_width(l), b.fid_width(l));
         for (nnz_t f = 0; f < b.nfibers(l); ++f) {
           ASSERT_EQ(a.fid(l, f), b.fid(l, f)) << "rep " << r << " level " << l;
         }
-        for (nnz_t f = 0; l + 1 < b.order() && f <= b.nfibers(l); ++f) {
+        if (l + 1 == b.order()) continue;
+        ASSERT_EQ(a.ptr_width(l), b.ptr_width(l));
+        for (nnz_t f = 0; f <= b.nfibers(l); ++f) {
           ASSERT_EQ(a.ptr(l, f), b.ptr(l, f)) << "rep " << r << " level " << l;
         }
       }
+      ASSERT_TRUE(std::ranges::equal(a.root_nnz_prefix(),
+                                     b.root_nnz_prefix()));
       ASSERT_EQ(std::memcmp(a.vals().data(), b.vals().data(),
                             b.nnz() * sizeof(val_t)),
                 0);

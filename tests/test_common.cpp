@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -252,6 +254,37 @@ TEST(Options, IntListParses) {
             (std::vector<int>{1, 2, 4, 8, 16, 32}));
   o.add("core", "8x4x2", "core extents");
   EXPECT_EQ(o.get_int_list("core", 'x'), (std::vector<int>{8, 4, 2}));
+}
+
+TEST(Options, IntListRefusesEmptyEntries) {
+  // A leading, doubled or trailing separator leaves an empty entry; a
+  // list that skipped it would run a smaller grid or core than was typed.
+  Options o("prog", "test");
+  o.add("core", "4xx4x4", "doubled");
+  o.add("grid", "1,,1,1", "doubled");
+  o.add("trail", "1,1,1,", "trailing");
+  o.add("lead", ",1,1", "leading");
+  o.add("lone", ",", "separator only");
+  o.add("empty", "", "empty");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(o.parse(1, argv));
+  for (const auto& [name, sep] :
+       std::vector<std::pair<std::string, char>>{{"core", 'x'},
+                                                 {"grid", ','},
+                                                 {"trail", ','},
+                                                 {"lead", ','},
+                                                 {"lone", ','},
+                                                 {"empty", ','}}) {
+    try {
+      (void)o.get_int_list(name, sep);
+      ADD_FAILURE() << "--" << name << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + name), std::string::npos)
+          << e.what();
+    }
+  }
+  o.add("one", "7", "single entry");
+  EXPECT_EQ(o.get_int_list("one"), (std::vector<int>{7}));
 }
 
 TEST(Options, UnknownOptionThrows) {

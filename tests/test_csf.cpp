@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <ostream>
 #include <set>
 #include <string>
@@ -217,6 +218,113 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).name + "_" +
              csf_layout_name(std::get<1>(info.param));
     });
+
+// Parallel build: every thread count stores the bytes of the 1-thread
+// build. The cases are the hand fixtures above (nnz 0 and 1 among them),
+// generated tensors with mode lengths at the fid-width boundaries, one
+// whose level-0 fptr crosses u16, and a single root slice, which leaves
+// every block but one empty.
+struct CsfThreadsCase {
+  std::string name;
+  SparseTensor coo;  ///< unsorted
+  std::vector<int> mode_order;
+};
+
+std::ostream& operator<<(std::ostream& os, const CsfThreadsCase& c) {
+  return os << c.name;
+}
+
+std::vector<CsfThreadsCase> threads_cases() {
+  std::vector<CsfThreadsCase> out;
+  for (const CsfStreamCase& c : kStreamCases) {
+    SparseTensor t(c.dims);
+    for (const auto& coord : c.coords) {
+      t.push_back({coord.data(), coord.size()}, 0.5 + t.nnz());
+    }
+    out.push_back({c.name, std::move(t), c.mode_order});
+  }
+  const auto generated = [&](std::string name, dims_t dims, nnz_t nnz,
+                             std::uint64_t seed, double zipf) {
+    SparseTensor t = generate_synthetic(
+        {.dims = dims, .nnz = nnz, .seed = seed, .zipf_exponent = zipf});
+    out.push_back({std::move(name), std::move(t), csf_mode_order(dims, -1)});
+  };
+  generated("order3_boundary_dims", {255, 256, 65536}, 4000, 70, 0.6);
+  generated("order4_boundary_dims", {256, 65535, 255, 65536}, 4000, 71, 0.0);
+  // Two root slices over more than 65535 level-1 fibers: the level-0 fptr
+  // (and so the deeper one) is stored at u32.
+  generated("ptr_crosses_u16", {2, 50000, 60000}, 200000, 72, 0.0);
+  generated("single_root_slice", {1, 40, 50}, 600, 73, 0.3);
+  return out;
+}
+
+/// Asserts two CSFs store the same bytes: every stream's width, length
+/// and contents, the root prefix, the values and the footprint.
+void expect_same_bytes(const CsfTensor& got, const CsfTensor& want) {
+  ASSERT_EQ(got.mode_order(), want.mode_order());
+  ASSERT_EQ(got.nnz(), want.nnz());
+  for (int l = 0; l < want.order(); ++l) {
+    SCOPED_TRACE("level " + std::to_string(l));
+    ASSERT_EQ(got.fid_width(l), want.fid_width(l));
+    ASSERT_EQ(got.nfibers(l), want.nfibers(l));
+    EXPECT_EQ(std::memcmp(got.fid_stream(l).base, want.fid_stream(l).base,
+                          want.nfibers(l) * want.fid_width(l)),
+              0);
+    if (l + 1 == want.order()) continue;
+    ASSERT_EQ(got.ptr_width(l), want.ptr_width(l));
+    EXPECT_EQ(std::memcmp(got.ptr_stream(l).base, want.ptr_stream(l).base,
+                          (want.nfibers(l) + 1) * want.ptr_width(l)),
+              0);
+  }
+  EXPECT_TRUE(std::ranges::equal(got.root_nnz_prefix(),
+                                 want.root_nnz_prefix()));
+  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                        want.nnz() * sizeof(val_t)),
+            0);
+  EXPECT_EQ(got.index_bytes(), want.index_bytes());
+  EXPECT_EQ(got.memory_bytes(), want.memory_bytes());
+}
+
+class CsfThreadsTest
+    : public ::testing::TestWithParam<std::tuple<CsfThreadsCase, CsfLayout>> {
+};
+
+TEST_P(CsfThreadsTest, EveryThreadCountStoresTheSerialBytes) {
+  const auto& [c, layout] = GetParam();
+  SparseTensor t = c.coo;
+  stable_sort_perm(t, c.mode_order, 1);
+  const CsfTensor serial(t, c.mode_order, layout);
+  for (const int nthreads : {2, 3, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(nthreads));
+    expect_same_bytes(CsfTensor(t, c.mode_order, layout, nthreads), serial);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CsfThreadsTest,
+    ::testing::Combine(::testing::ValuesIn(threads_cases()),
+                       ::testing::Values(CsfLayout::kCompressed,
+                                         CsfLayout::kWide)),
+    [](const auto& info) {
+      return std::get<0>(info.param).name + "_" +
+             csf_layout_name(std::get<1>(info.param));
+    });
+
+TEST(CsfThreads, CaseShapesCoverTheirClaims) {
+  // Guards the fixtures above against drifting off what they exercise.
+  for (const CsfThreadsCase& c : threads_cases()) {
+    SparseTensor t = c.coo;
+    stable_sort_perm(t, c.mode_order, 1);
+    const CsfTensor csf(t, c.mode_order);
+    if (c.name == "ptr_crosses_u16") {
+      EXPECT_GT(csf.nfibers(1), 65535u);
+      EXPECT_EQ(csf.ptr_width(0), 4);
+    } else if (c.name == "single_root_slice") {
+      EXPECT_EQ(csf.nfibers(0), 1u);
+      EXPECT_GT(csf.nnz(), 4u);
+    }
+  }
+}
 
 // Round-trip sweep over orders, roots, and skew.
 class CsfRoundTripTest

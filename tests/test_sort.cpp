@@ -456,6 +456,33 @@ TEST(StableSort, MatchesQuicksortAndRejectsBadArguments) {
   EXPECT_THROW(stable_sort_perm(stable, bad_perm, 1), Error);
 }
 
+// resize_nnz leaves new entries unspecified, so a pass must not read the
+// scratch it writes: one into a pre-sized scratch holding a garbage
+// pattern (as a reused scratch holds the previous pass's output) gives the
+// same bytes as one into a fresh scratch.
+TEST(StableSort, PassIntoGarbageScratchMatchesFreshScratch) {
+  const SparseTensor src = generate_synthetic(
+      {.dims = {40, 25, 300}, .nnz = 5000, .seed = 96, .zipf_exponent = 0.7});
+  for (int key = 0; key < src.order(); ++key) {
+    for (const int nthreads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "key " << key << " threads " << nthreads);
+      SparseTensor fresh;
+      stable_counting_pass(src, fresh, key, nthreads);
+      SparseTensor garbage(src.dims());
+      garbage.resize_nnz(src.nnz());
+      for (int m = 0; m < garbage.order(); ++m) {
+        std::fill(garbage.ind(m).begin(), garbage.ind(m).end(),
+                  static_cast<idx_t>(0xA5A5A5A5u));
+      }
+      std::memset(garbage.vals().data(), 0x5A,
+                  garbage.nnz() * sizeof(val_t));
+      stable_counting_pass(src, garbage, key, nthreads);
+      expect_same_coo(garbage, fresh);
+    }
+  }
+}
+
 TEST(Sort, InvalidArgumentsThrow) {
   SparseTensor t = generate_synthetic({.dims = {10, 10}, .nnz = 20,
                                        .seed = 83});

@@ -137,8 +137,8 @@ TEST(Coo, RemoveEmptySlicesNoopWhenDense) {
 
 TEST(Coo, SwapStorageExchangesBuffers) {
   SparseTensor t = tiny_tensor();
-  std::vector<std::vector<idx_t>> inds(3, std::vector<idx_t>(4, 0));
-  std::vector<val_t> vals(4, 9.0);
+  std::vector<uninit_vector<idx_t>> inds(3, uninit_vector<idx_t>(4, 0));
+  uninit_vector<val_t> vals(4, 9.0);
   t.swap_storage(inds, vals);
   EXPECT_EQ(t.vals()[0], 9.0);
   EXPECT_EQ(vals[0], 1.5);  // old storage handed back
@@ -146,8 +146,8 @@ TEST(Coo, SwapStorageExchangesBuffers) {
 
 TEST(Coo, SwapStorageRejectsMismatchedLengths) {
   SparseTensor t = tiny_tensor();
-  std::vector<std::vector<idx_t>> inds(3, std::vector<idx_t>(5, 0));
-  std::vector<val_t> vals(4, 0.0);
+  std::vector<uninit_vector<idx_t>> inds(3, uninit_vector<idx_t>(5, 0));
+  uninit_vector<val_t> vals(4, 0.0);
   EXPECT_THROW(t.swap_storage(inds, vals), Error);
 }
 

@@ -446,5 +446,37 @@ TEST(TnsParser, ParallelPiecesMatchOracle) {
   }
 }
 
+TEST(TnsParser, PieceCopiesLandAtFileOrderOffsets) {
+  // Each block's pieces are copied to their offsets in the tensor arrays
+  // by the parse team. Runs of comment lines give pieces that hold lines
+  // but no nonzeros, and a team wider than a small block's lines gives
+  // pieces with no lines at all; every team size must reproduce team 1's
+  // tensor bit for bit. The 64 KiB+ blocks run the copy in parallel.
+  const SparseTensor t = generate_synthetic(
+      {.dims = {90, 70, 40}, .nnz = 12000, .seed = 12});
+  std::ostringstream out;
+  write_tns(t, out);
+  std::string text;
+  std::istringstream lines(out.str());
+  std::string line;
+  for (int n = 0; std::getline(lines, line); ++n) {
+    text += line + "\n";
+    if (n % 1500 == 40) {
+      for (int c = 0; c < 600; ++c) text += "# comment run\n";
+    }
+  }
+  ASSERT_GT(text.size(), 3 * (std::size_t{64} << 10));
+  for (const std::size_t block :
+       {std::size_t{97}, std::size_t{1000}, (std::size_t{64} << 10) + 13}) {
+    const Outcome want = parsed_blocks(text, false, block, 1);
+    ASSERT_TRUE(want.error.empty()) << want.error;
+    ASSERT_EQ(want.val_bits.size(), t.nnz());
+    for (const int team : {2, 3, 5}) {
+      EXPECT_EQ(parsed_blocks(text, false, block, team), want)
+          << "block " << block << " team " << team;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sptd

@@ -194,6 +194,20 @@ cmp "$ING_DIR/t1.model" "$ING_DIR/t4.model"
 cmp "$ING_DIR/t1.model" "$ING_DIR/t3.model"
 cmp "$ING_DIR/t1.model" "$ING_DIR/pool.model"
 echo "ci: ingest models are bitwise identical across team sizes and backends"
+# The same input decomposed on 4 threads, so the sort passes and the CSF
+# builds run in parallel blocks. At 4 threads no mode of this tensor
+# locks (mode 0 privatizes, the others run root kernels), so the models
+# are deterministic and must not depend on the parse team or the backend.
+OMP_NUM_THREADS=1 "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 4 --output "$ING_DIR/p1.model" > /dev/null
+OMP_NUM_THREADS=3 "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 4 --output "$ING_DIR/p3.model" > /dev/null
+SPTD_BACKEND=pool "$BUILD_DIR/sptd" cpd "$ING_DIR/multi.tns" --rank 8 \
+  --iters 3 --tolerance 0 --threads 4 --output "$ING_DIR/ppool.model" \
+  > /dev/null
+cmp "$ING_DIR/p1.model" "$ING_DIR/p3.model"
+cmp "$ING_DIR/p1.model" "$ING_DIR/ppool.model"
+echo "ci: 4-thread ingest models are bitwise identical across parse teams and backends"
 
 # `sptd validate` counts duplicate coordinates after a stable sort: the
 # generator writes none, so the count must equal the lines re-appended.
@@ -275,6 +289,10 @@ expect_flag_refused rank cpd --dist-grid 1,1,1 --rank 4294967301
 expect_flag_refused rank complete --rank 4294967301
 expect_flag_refused checkpoint-every cpd --checkpoint-every 4294967297
 expect_flag_refused core tucker --core 4294967298x2x2
+# An empty list entry is refused too, never skipped into a shorter list.
+expect_flag_refused core tucker --core 4xx4x4
+expect_flag_refused dist-grid cpd --dist-grid 1,,1,1
+expect_flag_refused dist-grid cpd --dist-grid 1,1,1,
 # The helper appends --iters 1, so the --iters case runs on its own.
 if err="$("$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --iters 4294967298 \
     2>&1 > /dev/null)"; then
