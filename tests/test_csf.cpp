@@ -278,9 +278,8 @@ void expect_same_bytes(const CsfTensor& got, const CsfTensor& want) {
   }
   EXPECT_TRUE(std::ranges::equal(got.root_nnz_prefix(),
                                  want.root_nnz_prefix()));
-  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
-                        want.nnz() * sizeof(val_t)),
-            0);
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(got.vals()),
+                                 std::as_bytes(want.vals())));
   EXPECT_EQ(got.index_bytes(), want.index_bytes());
   EXPECT_EQ(got.memory_bytes(), want.memory_bytes());
 }

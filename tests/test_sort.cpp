@@ -236,9 +236,8 @@ void expect_same_csf(const CsfTensor& got, const CsfTensor& want) {
       ASSERT_EQ(got.ptr(l, f), want.ptr(l, f)) << "level " << l;
     }
   }
-  ASSERT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
-                        want.nnz() * sizeof(val_t)),
-            0);
+  ASSERT_TRUE(std::ranges::equal(std::as_bytes(got.vals()),
+                                 std::as_bytes(want.vals())));
 }
 
 /// Asserts two COO tensors hold the same nonzero sequence, bit for bit.
@@ -250,9 +249,8 @@ void expect_same_coo(const SparseTensor& got, const SparseTensor& want) {
                            want.ind(m).begin()))
         << "mode " << m;
   }
-  ASSERT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
-                        want.nnz() * sizeof(val_t)),
-            0);
+  ASSERT_TRUE(std::ranges::equal(std::as_bytes(got.vals()),
+                                 std::as_bytes(want.vals())));
 }
 
 /// Builds the production CsfSet over a copy of \p input and checks it

@@ -303,7 +303,7 @@ grep -q -- "--iters" <<< "$err" \
   || { echo "ci: sptd cpd failed without naming --iters: $err" >&2
        exit 1; }
 echo "ci: out-of-range --chunk/--threads/--dist-grid/--rank/--iters/"\
-"--checkpoint-every/--core refused"
+"--checkpoint-every/--core and empty --core/--dist-grid entries refused"
 
 echo "== dist recovery smoke: SIGKILL a real rank, recover, bitwise =="
 # rank-kill:1@3 makes the rank-1 child SIGKILL itself mid-iteration; the
