@@ -21,7 +21,7 @@ namespace sptd::bench {
 
 /// Registers the flags shared by all harnesses. Besides the sweep knobs
 /// this includes --schedule (slice scheduling policy for the kernels under
-/// test), --chunk (dynamic-schedule claims-per-thread target), --kernels
+/// test), --chunk (work-stealing claims-per-thread target), --kernels
 /// (fixed = rank-specialized SIMD inner loops where available, generic =
 /// force the runtime-rank loops) and --json (append one JSON record per
 /// measurement to a file, so BENCH_*.json trajectories can compare

@@ -44,14 +44,18 @@ bool Options::parse(int argc, const char* const* argv) {
       name = name.substr(0, eq);
     }
     auto it = opts_.find(name);
-    SPTD_CHECK(it != opts_.end(), "unknown option --" + name);
+    if (it == opts_.end()) {
+      throw Error("unknown option --" + name);
+    }
     Opt& opt = it->second;
     if (opt.is_flag) {
       opt.value = inline_value.value_or("true");
     } else if (inline_value) {
       opt.value = *inline_value;
     } else {
-      SPTD_CHECK(i + 1 < argc, "option --" + name + " requires a value");
+      if (i + 1 >= argc) {
+        throw Error("option --" + name + " requires a value");
+      }
       opt.value = argv[++i];
     }
   }
@@ -77,16 +81,18 @@ std::int64_t Options::get_int(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  SPTD_CHECK(end != s.c_str() && *end == '\0',
-             "option --" + name + " expects an integer, got '" + s + "'");
+  if (end == s.c_str() || *end != '\0') {
+    throw Error("option --" + name + " expects an integer, got '" + s + "'");
+  }
   return v;
 }
 
 int Options::get_int_at_least(const std::string& name, int lo) const {
   const std::int64_t v = get_int(name);
-  SPTD_CHECK(v >= lo && v <= std::numeric_limits<int>::max(),
-             "option --" + name + " must be an int >= " + std::to_string(lo) +
-                 ", got " + std::to_string(v));
+  if (v < lo || v > std::numeric_limits<int>::max()) {
+    throw Error("option --" + name + " must be an int >= " +
+                std::to_string(lo) + ", got " + std::to_string(v));
+  }
   return static_cast<int>(v);
 }
 
@@ -94,8 +100,9 @@ double Options::get_double(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  SPTD_CHECK(end != s.c_str() && *end == '\0',
-             "option --" + name + " expects a number, got '" + s + "'");
+  if (end == s.c_str() || *end != '\0') {
+    throw Error("option --" + name + " expects a number, got '" + s + "'");
+  }
   return v;
 }
 
@@ -109,7 +116,9 @@ bool Options::get_bool(const std::string& name) const {
 std::vector<int> Options::get_int_list(const std::string& name,
                                        char separator) const {
   const std::string s = get_string(name);
-  SPTD_CHECK(!s.empty(), "option --" + name + " list is empty");
+  if (s.empty()) {
+    throw Error("option --" + name + " list is empty");
+  }
   std::vector<int> out;
   // Every separator splits two entries, so a leading, doubled or trailing
   // one leaves an empty entry, which is refused rather than skipped.
@@ -117,15 +126,20 @@ std::vector<int> Options::get_int_list(const std::string& name,
     const std::size_t stop = std::min(s.find(separator, at), s.size());
     const std::string tok = s.substr(at, stop - at);
     at = stop + 1;
-    SPTD_CHECK(!tok.empty(), "option --" + name + " has an empty entry in '" +
-                                 s + "'");
+    if (tok.empty()) {
+      throw Error("option --" + name + " has an empty entry in '" + s + "'");
+    }
     char* end = nullptr;
     const long v = std::strtol(tok.c_str(), &end, 10);
-    SPTD_CHECK(end != tok.c_str() && *end == '\0',
-               "option --" + name + " expects integers, got '" + tok + "'");
-    SPTD_CHECK(v >= std::numeric_limits<int>::min() &&
-                   v <= std::numeric_limits<int>::max(),
-               "option --" + name + " entry out of int range: '" + tok + "'");
+    if (end == tok.c_str() || *end != '\0') {
+      throw Error("option --" + name + " expects integers, got '" + tok +
+                  "'");
+    }
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      throw Error("option --" + name + " entry out of int range: '" + tok +
+                  "'");
+    }
     out.push_back(static_cast<int>(v));
   }
   return out;

@@ -65,14 +65,14 @@ struct CompletionOptions {
   std::uint64_t seed = 31;
   int nthreads = 1;
   /// Slice scheduling for the per-mode row/column passes (static |
-  /// weighted | dynamic | workstealing); the schedules are built once per
-  /// mode in the workspace and reused across all iterations (reset() per
-  /// pass rewinds the dynamic cursor / reseeds the work-stealing deques).
+  /// weighted | workstealing); the schedules are built once per mode in
+  /// the workspace and reused across all iterations (reset() per pass
+  /// reseeds the work-stealing deques).
   /// SGD stratum boundaries always come from a *static* prediction (the
   /// weighted partition, or equal slice counts under kStatic) because
   /// stratum ownership must not move at run time.
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/work-stealing claims-per-thread target (the --chunk flag).
+  /// Work-stealing claims-per-thread target (the --chunk flag).
   int chunk_target = static_cast<int>(SliceSchedule::kDefaultChunkTarget);
   /// Route inner loops through the rank-specialized fixed-width kernels
   /// where the rank has one (la/kernels.hpp); false forces the generic

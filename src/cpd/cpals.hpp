@@ -37,9 +37,9 @@ struct CpalsOptions {
   RowAccess row_access = RowAccess::kPointer;
   LockKind lock_kind = LockKind::kOmp;
   /// Slice scheduling policy for the MTTKRP execution plan
-  /// (static | weighted | dynamic | workstealing).
+  /// (static | weighted | workstealing).
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/workstealing claims-per-thread target
+  /// Workstealing claims-per-thread target
   /// (MttkrpOptions::chunk_target).
   int chunk_target = 16;
   /// Lock-vs-privatize rule (MttkrpOptions::privatization_threshold):

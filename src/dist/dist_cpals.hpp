@@ -52,9 +52,9 @@ struct DistOptions {
   /// index ranges (the same weighted-vs-static choice as SliceSchedule).
   bool weighted_blocks = true;
   /// Slice scheduling inside each locale's MTTKRP plan
-  /// (static | weighted | dynamic | workstealing).
+  /// (static | weighted | workstealing).
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/workstealing claims-per-thread target inside each locale's
+  /// Workstealing claims-per-thread target inside each locale's
   /// plan (MttkrpOptions::chunk_target).
   int chunk_target = 16;
   /// Rank-specialized SIMD inner loops inside each locale's plan

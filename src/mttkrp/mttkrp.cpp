@@ -1318,10 +1318,10 @@ void mttkrp_csf_exec(const MttkrpModePlan& mp,
              "instantiated (possibly padded) width");
 
   ws.last_strategy = mp.strategy;
-  // Rewind the runtime schedules for this kernel launch: the dynamic
-  // cursor restarts and every work-stealing deque is reseeded with its
-  // owner's chunks (a cached plan reuses one schedule across the whole
-  // ALS sweep, so each launch must begin from the full seed).
+  // Rewind the runtime schedule for this kernel launch: every
+  // work-stealing deque is reseeded with its owner's chunks (a cached
+  // plan reuses one schedule across the whole ALS sweep, so each launch
+  // must begin from the full seed).
   mp.slices.reset();
   mp.kernel(mp, factors, out, ws);
 }

@@ -79,10 +79,8 @@ struct MttkrpOptions {
   /// Disable privatization AND locks is invalid; disabling privatization
   /// alone falls back to locks.
   bool allow_privatization = true;
-  /// Dynamic/workstealing chunk heuristic: target number of claims per
-  /// thread. Dynamic sizes chunks total / (nthreads * chunk_target);
-  /// workstealing subdivides each thread's seeded block into up to
-  /// chunk_target chunks (the steal granularity). Larger targets mean
+  /// Workstealing steal granularity: each thread's seeded block is cut
+  /// into up to chunk_target chunks (claims). Larger targets mean
   /// finer chunks (better skew smoothing, more claim traffic). Exposed as
   /// --chunk on the CLI and benches.
   int chunk_target = 16;

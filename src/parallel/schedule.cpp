@@ -31,19 +31,17 @@ std::uint64_t work_steal_count() {
 SchedulePolicy parse_schedule_policy(const std::string& name) {
   if (name == "static") return SchedulePolicy::kStatic;
   if (name == "weighted") return SchedulePolicy::kWeighted;
-  if (name == "dynamic") return SchedulePolicy::kDynamic;
   if (name == "workstealing" || name == "work-stealing") {
     return SchedulePolicy::kWorkStealing;
   }
   throw Error("unknown schedule policy '" + name +
-              "' (expected static|weighted|dynamic|workstealing)");
+              "' (expected static|weighted|workstealing)");
 }
 
 const char* schedule_policy_name(SchedulePolicy policy) {
   switch (policy) {
     case SchedulePolicy::kStatic:       return "static";
     case SchedulePolicy::kWeighted:     return "weighted";
-    case SchedulePolicy::kDynamic:      return "dynamic";
     case SchedulePolicy::kWorkStealing: return "workstealing";
   }
   return "?";
@@ -52,7 +50,7 @@ const char* schedule_policy_name(SchedulePolicy policy) {
 SliceSchedule::SliceSchedule(SchedulePolicy policy, nnz_t total,
                              std::span<const nnz_t> weight_prefix,
                              int nthreads, nnz_t chunk_target)
-    : policy_(policy), total_(total), nthreads_(nthreads) {
+    : policy_(policy), nthreads_(nthreads) {
   SPTD_CHECK(nthreads >= 1, "SliceSchedule: nthreads must be >= 1");
   SPTD_CHECK(chunk_target >= 1, "SliceSchedule: chunk target must be >= 1");
   if (policy_ == SchedulePolicy::kWeighted && weight_prefix.empty()) {
@@ -69,15 +67,6 @@ SliceSchedule::SliceSchedule(SchedulePolicy policy, nnz_t total,
     }
     case SchedulePolicy::kWeighted: {
       bounds_ = weighted_partition(weight_prefix, nthreads);
-      break;
-    }
-    case SchedulePolicy::kDynamic: {
-      // Chunks sized for ~chunk_target claims per thread: coarse enough
-      // that the shared cursor stays off the critical path, fine enough
-      // to smooth slice-weight skew. The target is tunable (--chunk)
-      // because the right trade depends on core count and slice skew.
-      chunk_ = std::max<nnz_t>(
-          1, total / (static_cast<nnz_t>(nthreads) * chunk_target));
       break;
     }
     case SchedulePolicy::kWorkStealing: {

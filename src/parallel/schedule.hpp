@@ -18,9 +18,6 @@
 ///  * weighted     — contiguous blocks of equal *nonzero* weight, SPLATT's
 ///                   balancing (the seed's only behaviour, still the
 ///                   default).
-///  * dynamic      — fixed-size chunks claimed from a shared cursor at run
-///                   time (OpenMP `schedule(dynamic)`); every claim hits
-///                   one global atomic.
 ///  * workstealing — per-thread chunk deques seeded from the weighted
 ///                   partition; owners drain their own deque front-to-back
 ///                   and idle threads steal chunks from the far end of a
@@ -48,11 +45,10 @@ namespace sptd {
 enum class SchedulePolicy : int {
   kStatic = 0,    ///< equal slice counts per thread
   kWeighted,      ///< equal nonzero weight per thread (SPLATT)
-  kDynamic,       ///< chunks claimed from a shared cursor
   kWorkStealing,  ///< weighted seed + per-thread deques, idle threads steal
 };
 
-/// Parses "static" / "weighted" / "dynamic" / "workstealing"; throws
+/// Parses "static" / "weighted" / "workstealing"; throws
 /// sptd::Error otherwise.
 SchedulePolicy parse_schedule_policy(const std::string& name);
 
@@ -68,13 +64,11 @@ std::uint64_t work_steal_count();
 /// One precomputed distribution of [0, total) slices over a fixed team.
 ///
 /// Static and weighted schedules are nthreads+1 boundaries fixed at
-/// construction; dynamic schedules carry a chunk size and an atomic cursor;
-/// work-stealing schedules carry per-thread chunk deques. The two runtime
-/// policies must be reset() before each parallel region that consumes them
-/// (the dynamic cursor rewinds, the deques reseed). Construction is the
-/// only place partitioning work happens — for_ranges() on the hot path is
-/// a bounds lookup, a fetch_add, or an (almost always uncontended) CAS on
-/// the caller's own deque.
+/// construction; work-stealing schedules carry per-thread chunk deques,
+/// which must be reset() (reseeded) before each parallel region that
+/// consumes them. Construction is the only place partitioning work
+/// happens — for_ranges() on the hot path is a bounds lookup or an
+/// (almost always uncontended) CAS on the caller's own deque.
 class SliceSchedule {
  public:
   SliceSchedule() = default;
@@ -83,30 +77,26 @@ class SliceSchedule {
   /// \p weight_prefix (exclusive prefix sum, length total+1) is consulted
   /// by the weighted and work-stealing policies; passing an empty span
   /// degrades weighted to static and seeds work-stealing deques with equal
-  /// slice counts. \p chunk_target is consulted by the dynamic and
-  /// work-stealing policies: chunks are sized for ~chunk_target claims per
-  /// thread (MttkrpOptions::chunk_target / the --chunk flag).
+  /// slice counts. \p chunk_target is consulted by the work-stealing
+  /// policy: each thread's block is cut into up to chunk_target chunks
+  /// (MttkrpOptions::chunk_target / the --chunk flag).
   SliceSchedule(SchedulePolicy policy, nnz_t total,
                 std::span<const nnz_t> weight_prefix, int nthreads,
                 nnz_t chunk_target = kDefaultChunkTarget);
 
-  /// Default dynamic/work-stealing claims-per-thread target.
+  /// Default work-stealing claims-per-thread target.
   static constexpr nnz_t kDefaultChunkTarget = 16;
 
-  // The atomic cursor and deques are not copyable; schedules move.
+  // The atomic counters and deques are not copyable; schedules move.
   SliceSchedule(SliceSchedule&& other) noexcept { *this = std::move(other); }
   SliceSchedule& operator=(SliceSchedule&& other) noexcept {
     policy_ = other.policy_;
-    total_ = other.total_;
-    chunk_ = other.chunk_;
     nthreads_ = other.nthreads_;
     bounds_ = std::move(other.bounds_);
     chunks_ = std::move(other.chunks_);
     owner_first_ = std::move(other.owner_first_);
     owner_last_ = std::move(other.owner_last_);
     deques_ = std::move(other.deques_);
-    cursor_.store(other.cursor_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
     steals_.store(other.steals_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
     generation_.store(other.generation_.load(std::memory_order_relaxed),
@@ -117,13 +107,11 @@ class SliceSchedule {
   }
 
   [[nodiscard]] SchedulePolicy policy() const { return policy_; }
-  [[nodiscard]] nnz_t total() const { return total_; }
-  [[nodiscard]] nnz_t chunk() const { return chunk_; }
   [[nodiscard]] int nthreads() const { return nthreads_; }
 
   /// Per-thread boundaries (nthreads+1) for static/weighted, and the
   /// deque *seed* boundaries for workstealing (what each thread owns
-  /// before any steal); empty for dynamic.
+  /// before any steal).
   [[nodiscard]] std::span<const nnz_t> bounds() const { return bounds_; }
 
   /// Work-stealing steal granularity: slice boundaries of the chunk list
@@ -142,19 +130,14 @@ class SliceSchedule {
     return steals_.load(std::memory_order_relaxed);
   }
 
-  /// Rewinds the runtime policies: the dynamic cursor restarts at zero and
-  /// every work-stealing deque is reseeded with its owner's chunks. Must
-  /// be called (from serial code) before every parallel region that
-  /// consumes a dynamic or work-stealing schedule; a no-op for the
-  /// precomputed policies. Each call opens a new launch *generation* —
+  /// Rewinds the runtime policy: every work-stealing deque is reseeded
+  /// with its owner's chunks. Must be called (from serial code) before
+  /// every parallel region that consumes a work-stealing schedule; a no-op
+  /// for the precomputed policies. Each call opens a new launch *generation* —
   /// at most nthreads() workers may enter for_ranges() per generation,
   /// which is how reuse-without-reset is caught (see generation()).
   void reset() const {
-    if (policy_ == SchedulePolicy::kDynamic) {
-      generation_.fetch_add(1, std::memory_order_relaxed);
-      entries_.store(0, std::memory_order_relaxed);
-      cursor_.store(0, std::memory_order_relaxed);
-    } else if (policy_ == SchedulePolicy::kWorkStealing) {
+    if (policy_ == SchedulePolicy::kWorkStealing) {
       generation_.fetch_add(1, std::memory_order_relaxed);
       entries_.store(0, std::memory_order_relaxed);
       for (int t = 0; t < nthreads_; ++t) {
@@ -166,19 +149,18 @@ class SliceSchedule {
     }
   }
 
-  /// Number of reset() calls this schedule has seen (runtime policies
-  /// only; the precomputed policies have no generations). Diagnostic
+  /// Number of reset() calls this schedule has seen (workstealing only;
+  /// the precomputed policies have no generations). Diagnostic
   /// counterpart of the launch-entry contract below.
   [[nodiscard]] std::uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
 
   /// Invokes fn(begin, end) for every contiguous slice range assigned to
-  /// \p tid. Static/weighted: exactly one range. Dynamic: repeated chunk
-  /// claims until the cursor runs dry. Workstealing: the thread drains its
-  /// own deque front-to-back (ascending slices, cache-friendly), then
-  /// cycles over the other deques stealing one chunk at a time from the
-  /// far end until a full pass finds every deque empty.
+  /// \p tid. Static/weighted: exactly one range. Workstealing: the thread
+  /// drains its own deque front-to-back (ascending slices, cache-friendly),
+  /// then cycles over the other deques stealing one chunk at a time from
+  /// the far end until a full pass finds every deque empty.
   template <typename Fn>
   void for_ranges(int tid, Fn&& fn) const {
     if (policy_ == SchedulePolicy::kStatic ||
@@ -191,16 +173,6 @@ class SliceSchedule {
       return;
     }
     enforce_reset_contract();
-    if (policy_ == SchedulePolicy::kDynamic) {
-      for (;;) {
-        const nnz_t begin =
-            cursor_.fetch_add(chunk_, std::memory_order_relaxed);
-        if (begin >= total_) {
-          return;
-        }
-        fn(begin, begin + chunk_ < total_ ? begin + chunk_ : total_);
-      }
-    }
     // Workstealing. Deques only shrink between reset() calls, so once a
     // steal pass observes every other deque empty the work is fully
     // claimed and the thread may leave.
@@ -221,21 +193,20 @@ class SliceSchedule {
   }
 
  private:
-  /// The runtime-policy reuse guard: at most nthreads_ workers may enter
+  /// The work-stealing reuse guard: at most nthreads_ workers may enter
   /// for_ranges() between reset() calls. A second launch that forgot to
   /// reset() pushes the entry count past the team size and fails here —
-  /// loudly, instead of silently executing zero iterations against an
-  /// exhausted cursor / drained deques (the historical failure mode of
-  /// cached MttkrpPlan schedules). The check is one relaxed fetch_add per
-  /// worker per launch — noise next to the per-chunk atomics these
-  /// policies already pay — so it stays on in release builds; inside a
+  /// loudly, instead of silently executing zero iterations against
+  /// drained deques (the historical failure mode of cached MttkrpPlan
+  /// schedules). The check is one relaxed fetch_add per worker per launch
+  /// — noise next to the per-chunk CASes the policy already pays — so it stays on in release builds; inside a
   /// parallel region the throw escalates to std::terminate, i.e. the
   /// contract violation aborts rather than corrupts.
   void enforce_reset_contract() const {
     const std::uint32_t n = entries_.fetch_add(1, std::memory_order_relaxed);
     SPTD_CHECK(n < static_cast<std::uint32_t>(nthreads_),
                "SliceSchedule consumed by more workers than the team size: "
-               "dynamic/work-stealing schedules must be reset() before "
+               "work-stealing schedules must be reset() before "
                "every parallel region (generation " +
                    std::to_string(generation()) + ", see ROADMAP contracts)");
   }
@@ -261,8 +232,6 @@ class SliceSchedule {
   bool claim_steal(int victim, std::uint32_t* chunk) const;
 
   SchedulePolicy policy_ = SchedulePolicy::kStatic;
-  nnz_t total_ = 0;
-  nnz_t chunk_ = 1;
   int nthreads_ = 1;
   std::vector<nnz_t> bounds_;
   // Workstealing state: global chunk boundaries plus each owner's
@@ -271,7 +240,6 @@ class SliceSchedule {
   std::vector<std::uint32_t> owner_first_;
   std::vector<std::uint32_t> owner_last_;
   std::unique_ptr<Deque[]> deques_;
-  mutable std::atomic<nnz_t> cursor_{0};
   mutable std::atomic<std::uint64_t> steals_{0};
   // Launch-generation contract state (see enforce_reset_contract()).
   mutable std::atomic<std::uint64_t> generation_{0};

@@ -47,7 +47,6 @@
 #include "tensor/coo.hpp"
 #include "tensor/dense.hpp"
 #include "tensor/io.hpp"
-#include "tensor/reorder.hpp"
 #include "tensor/stats.hpp"
 #include "tensor/synthetic.hpp"
 #include "tucker/tucker.hpp"

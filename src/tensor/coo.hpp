@@ -66,8 +66,8 @@ class SparseTensor {
 
   /// Resizes the nonzero arrays. Entries past the old nnz are unspecified
   /// (neither zeroed nor touched): every caller — the sort's scratch,
-  /// read_bin_file, the completion and reorder copies — overwrites each
-  /// one before it is read.
+  /// read_bin_file, the completion copy — overwrites each one before it
+  /// is read.
   void resize_nnz(nnz_t n);
 
   /// Coordinates of nonzero \p x as a fixed buffer (first order() valid).

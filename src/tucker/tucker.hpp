@@ -54,9 +54,9 @@ struct TuckerOptions {
   std::uint64_t seed = 17;
   int nthreads = 1;
   /// Slice scheduling for the CSF TTMc kernels (static | weighted |
-  /// dynamic | workstealing); one schedule per mode is built before the
-  /// HOOI loop and reused across all iterations (reset() per launch
-  /// rewinds the dynamic cursor / reseeds the work-stealing deques).
+  /// workstealing); one schedule per mode is built before the HOOI loop
+  /// and reused across all iterations (reset() per launch reseeds the
+  /// work-stealing deques).
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
   /// Index-stream widths of the all-mode CSF set the TTMc walks
   /// (compressed = per-level narrowest, wide = u32/u64 baseline).

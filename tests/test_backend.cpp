@@ -9,8 +9,8 @@
 //    static/weighted schedules are bitwise identical across backends:
 //    every thread processes a fixed slice range in a fixed order and the
 //    reduction sums per-thread buffers in fixed index order.
-//  * Multi-thread runs under locks or under the dynamic/workstealing
-//    schedules are timing-order nondeterministic even on one backend
+//  * Multi-thread runs under locks or under the workstealing
+//    schedule are timing-order nondeterministic even on one backend
 //    (deposit interleaving / chunk ownership varies run to run), so
 //    those compare at 1e-12 — the same tolerance test_mttkrp uses for
 //    omp-vs-omp schedule equivalences.
@@ -229,9 +229,9 @@ constexpr SyncConfig kSyncConfigs[] = {
     {"privatize", false, 1e9},
 };
 
-constexpr SchedulePolicy kPolicies[] = {
-    SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-    SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing};
+constexpr SchedulePolicy kPolicies[] = {SchedulePolicy::kStatic,
+                                        SchedulePolicy::kWeighted,
+                                        SchedulePolicy::kWorkStealing};
 
 class BackendMttkrpTest : public ::testing::Test {
  protected:
@@ -300,7 +300,7 @@ TEST_F(BackendMttkrpTest, StaticSchedulesPrivatizedBitwiseAtFourThreads) {
 }
 
 TEST_F(BackendMttkrpTest, AllPoliciesAndSyncsMatchAtFourThreads) {
-  // The timing-order-nondeterministic configurations (locks; dynamic /
+  // The timing-order-nondeterministic configurations (locks;
   // workstealing ownership) compare at the cross-schedule tolerance.
   BackendGuard guard;
   for (const idx_t rank : {idx_t{8}, idx_t{35}}) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -323,6 +324,32 @@ TEST(Options, OutOfIntRangeThrowsInsteadOfWrapping) {
   EXPECT_THROW((void)o.get_int_at_least("threads", 0), Error);
   o.add("ok", "7", "in range");
   EXPECT_EQ(o.get_int_at_least("ok", 7), 7);
+}
+
+TEST(Options, FlagErrorsCarryOnlyTheMessage) {
+  // A flag error is the user's to fix: its text names the flag and leaves
+  // out the checked expression and source location a failed SPTD_CHECK
+  // prints.
+  Options o("prog", "test");
+  o.add("chunk", "16", "chunk");
+  o.add("dist-grid", "", "grid");
+  const char* argv[] = {"prog", "--chunk", "0", "--dist-grid", "1,,1"};
+  ASSERT_TRUE(o.parse(5, argv));
+  const auto expect_plain = [](const std::function<void()>& bad,
+                               const std::string& flag) {
+    try {
+      bad();
+      ADD_FAILURE() << "--" << flag << " accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    }
+  };
+  expect_plain([&] { (void)o.get_int_at_least("chunk", 1); }, "chunk");
+  expect_plain([&] { (void)o.get_int_list("dist-grid"); }, "dist-grid");
+  const char* unknown[] = {"prog", "--bogus", "1"};
+  expect_plain([&] { (void)o.parse(3, unknown); }, "bogus");
 }
 
 TEST(Options, BadBoolThrows) {

@@ -74,9 +74,9 @@ TEST(CompletionAlg, ParsesAndNames) {
 
 TEST(CompletionSolvers, AllConvergeAcrossSchedulesAndThreads) {
   const SparseTensor train = solver_fixture();
-  const SchedulePolicy policies[] = {
-      SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-      SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing};
+  const SchedulePolicy policies[] = {SchedulePolicy::kStatic,
+                                     SchedulePolicy::kWeighted,
+                                     SchedulePolicy::kWorkStealing};
   for (const auto alg :
        {CompletionAlgorithm::kAls, CompletionAlgorithm::kSgd,
         CompletionAlgorithm::kCcd}) {

@@ -255,7 +255,7 @@ TEST(CsfCompressedMttkrp, MatchesWideAcrossRanksSchedulesSyncs) {
   for (const idx_t rank : {17u, 8u, 16u, 35u}) {
     for (const auto schedule :
          {SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-          SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing}) {
+          SchedulePolicy::kWorkStealing}) {
       for (const SyncConfig& sync : kSyncConfigs) {
         MttkrpOptions opts;
         opts.nthreads = 3;

@@ -463,7 +463,7 @@ la::Matrix run_scheduled_exec(const CsfTensor& csf,
 }
 
 TEST(WorkStealingMttkrp, MatchesEveryOtherScheduleEverywhere) {
-  // The equivalence suite: workstealing vs static/weighted/dynamic across
+  // The equivalence suite: workstealing vs static/weighted across
   // roots x output modes x sync strategies x thread counts, within 1e-12.
   // A skewed fixture so the weighted seed and the chunk subdivision are
   // both non-trivial.
@@ -491,8 +491,7 @@ TEST(WorkStealingMttkrp, MatchesEveryOtherScheduleEverywhere) {
               csf, fx.factors, mode, fx.rank,
               SchedulePolicy::kWorkStealing, strategy, nthreads);
           for (const SchedulePolicy ref :
-               {SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-                SchedulePolicy::kDynamic}) {
+               {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
             const la::Matrix ref_out = run_scheduled_exec(
                 csf, fx.factors, mode, fx.rank, ref, strategy, nthreads);
             EXPECT_LT(ws_out.max_abs_diff(ref_out), 1e-12)

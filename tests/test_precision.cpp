@@ -115,7 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(3, 8, 16, 35),
         ::testing::Values(SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-                          SchedulePolicy::kDynamic,
                           SchedulePolicy::kWorkStealing),
         ::testing::Bool()));
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,9 +24,9 @@
 namespace sptd {
 namespace {
 
-constexpr SchedulePolicy kAllPolicies[] = {
-    SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-    SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing};
+constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kStatic,
+                                           SchedulePolicy::kWeighted,
+                                           SchedulePolicy::kWorkStealing};
 
 std::vector<nnz_t> uniform_prefix(nnz_t total) {
   std::vector<nnz_t> prefix(static_cast<std::size_t>(total) + 1);
@@ -71,6 +72,19 @@ TEST(SchedulePolicy, ParseRoundTrips) {
     EXPECT_EQ(parse_schedule_policy(schedule_policy_name(p)), p);
   }
   EXPECT_THROW(parse_schedule_policy("guided"), Error);
+}
+
+TEST(SchedulePolicy, ParseRefusesDynamic) {
+  // OpenMP's shared-cursor `dynamic` is not a policy: its name is refused
+  // like any other, and the message lists the policies that exist.
+  try {
+    (void)parse_schedule_policy("dynamic");
+    ADD_FAILURE() << "dynamic accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("static|weighted|workstealing"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ----------------------------------------------------- partition shapes
@@ -138,14 +152,6 @@ TEST(SliceSchedule, EveryPolicyCoversEachSliceExactlyOnce) {
   }
 }
 
-TEST(SliceSchedule, DynamicReusableAfterReset) {
-  const nnz_t total = 64;
-  const SliceSchedule sched(SchedulePolicy::kDynamic, total, {}, 4);
-  // Two consecutive consumptions must each see the whole range.
-  expect_exact_coverage(sched, total, 4);
-  expect_exact_coverage(sched, total, 4);
-}
-
 TEST(SliceSchedule, WorkStealingReusableAfterReset) {
   // The reset() contract that cached MTTKRP plans rely on: each launch
   // must reseed every deque, or the second iteration sees nothing.
@@ -158,27 +164,23 @@ TEST(SliceSchedule, WorkStealingReusableAfterReset) {
 
 TEST(SliceSchedule, ReuseWithoutResetThrowsForRuntimePolicies) {
   // The launch-generation guard behind the reset() contract: a
-  // dynamic/work-stealing schedule admits at most nthreads workers per
+  // work-stealing schedule admits at most nthreads workers per
   // generation, so forgetting reset() before the next parallel region
   // throws instead of silently iterating nothing (or double-issuing).
   const nnz_t total = 64;
   const auto prefix = uniform_prefix(total);
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kDynamic, SchedulePolicy::kWorkStealing}) {
-    const SliceSchedule sched(policy, total, prefix, 4);
-    sched.reset();
-    for (int tid = 0; tid < 4; ++tid) {
-      sched.for_ranges(tid, [](nnz_t, nnz_t) {});
-    }
-    EXPECT_THROW(sched.for_ranges(0, [](nnz_t, nnz_t) {}), Error)
-        << schedule_policy_name(policy);
-    // reset() opens a fresh generation and the schedule works again.
-    expect_exact_coverage(sched, total, 4);
+  const SliceSchedule sched(SchedulePolicy::kWorkStealing, total, prefix, 4);
+  sched.reset();
+  for (int tid = 0; tid < 4; ++tid) {
+    sched.for_ranges(tid, [](nnz_t, nnz_t) {});
   }
+  EXPECT_THROW(sched.for_ranges(0, [](nnz_t, nnz_t) {}), Error);
+  // reset() opens a fresh generation and the schedule works again.
+  expect_exact_coverage(sched, total, 4);
 }
 
 TEST(SliceSchedule, ResetAdvancesLaunchGeneration) {
-  const SliceSchedule sched(SchedulePolicy::kDynamic, 16, {}, 2);
+  const SliceSchedule sched(SchedulePolicy::kWorkStealing, 16, {}, 2);
   const std::uint64_t g0 = sched.generation();
   sched.reset();
   sched.reset();
@@ -345,9 +347,8 @@ std::vector<la::Matrix> plan_factors(const SparseTensor& t, idx_t rank) {
 /// Compares the planned MTTKRP against the planless path for every mode.
 /// Strategies with a fixed thread->output assignment (none, privatize
 /// under static/weighted schedules) must match BITWISE; the lock
-/// strategy and the runtime schedules (dynamic, workstealing) only fix
-/// the per-row term sets, not their accumulation order, so those match
-/// to round-off.
+/// strategy and the runtime schedule (workstealing) only fix the per-row
+/// term sets, not their accumulation order, so those match to round-off.
 void expect_plan_matches_planless(const CsfSet& set,
                                   const MttkrpOptions& opts, idx_t rank) {
   const SparseTensor probe = plan_tensor();
@@ -364,7 +365,6 @@ void expect_plan_matches_planless(const CsfSet& set,
 
     const bool deterministic =
         plan.mode_plan(m).strategy != SyncStrategy::kLock &&
-        opts.schedule != SchedulePolicy::kDynamic &&
         opts.schedule != SchedulePolicy::kWorkStealing;
     const auto a = planned.values();
     const auto b = planless.values();

@@ -264,18 +264,23 @@ fi
 echo "ci: single-locale dist models equal cp_als; ignored flags refused"
 # Integer flags past int's range are refused naming the flag, never
 # narrowed. Each value wraps to 1..5 when narrowed to 32 bits, so a build
-# that wraps runs a tiny job instead of failing here.
-expect_flag_refused() {  # <flag> <sptd args...>
-  local flag="$1" err
-  shift
-  if err="$("$BUILD_DIR/sptd" "$@" "$RES_DIR/smoke.tns" --iters 1 2>&1 \
-      > /dev/null)"; then
-    echo "ci: sptd $* accepted an out-of-range --$flag" >&2
+# that wraps runs a tiny job instead of failing here. The refusal is the
+# message alone: no checked expression, no source location.
+expect_flag_refused() {  # <flag> <sptd command> <args...>
+  local flag="$1" cmd="$2" err
+  shift 2
+  if err="$("$BUILD_DIR/sptd" "$cmd" "$RES_DIR/smoke.tns" --iters 1 "$@" \
+      2>&1 > /dev/null)"; then
+    echo "ci: sptd $cmd $* accepted an out-of-range --$flag" >&2
     exit 1
   fi
   grep -q -- "--$flag" <<< "$err" \
-    || { echo "ci: sptd $* failed without naming --$flag: $err" >&2
+    || { echo "ci: sptd $cmd $* failed without naming --$flag: $err" >&2
          exit 1; }
+  if grep -q -e "check failed" -e "\.cpp:" <<< "$err"; then
+    echo "ci: sptd $cmd $* refused with a source location: $err" >&2
+    exit 1
+  fi
 }
 expect_flag_refused chunk cpd --chunk 4294967297
 expect_flag_refused threads cpd --threads 4294967298
@@ -293,15 +298,8 @@ expect_flag_refused core tucker --core 4294967298x2x2
 expect_flag_refused core tucker --core 4xx4x4
 expect_flag_refused dist-grid cpd --dist-grid 1,,1,1
 expect_flag_refused dist-grid cpd --dist-grid 1,1,1,
-# The helper appends --iters 1, so the --iters case runs on its own.
-if err="$("$BUILD_DIR/sptd" cpd "$RES_DIR/smoke.tns" --iters 4294967298 \
-    2>&1 > /dev/null)"; then
-  echo "ci: sptd cpd accepted an out-of-range --iters" >&2
-  exit 1
-fi
-grep -q -- "--iters" <<< "$err" \
-  || { echo "ci: sptd cpd failed without naming --iters: $err" >&2
-       exit 1; }
+# The helper passes --iters 1 before the arguments, so this one wins.
+expect_flag_refused iters cpd --iters 4294967298
 echo "ci: out-of-range --chunk/--threads/--dist-grid/--rank/--iters/"\
 "--checkpoint-every/--core and empty --core/--dist-grid entries refused"
 

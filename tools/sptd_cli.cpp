@@ -3,11 +3,12 @@
 ///        executable that SPLATT ships. Subcommands:
 ///
 ///   sptd stats <tensor.tns|.bin>          tensor statistics (Table I row)
+///   sptd validate <tensor>                structural checks
 ///   sptd convert <in> <out>               .tns <-> .bin by extension
 ///   sptd generate <out.tns> [--preset ... --scale ...]
 ///   sptd cpd <tensor> [--rank ... --iters ... --threads ... --impl ...]
+///   sptd tucker <tensor> [--core ... --iters ...]
 ///   sptd complete <tensor> [--alg als|sgd|ccd --rank ... --holdout ...]
-///   sptd reorder <in> <out> [--policy random|frequency]
 ///
 /// Every subcommand takes --help.
 
@@ -20,6 +21,14 @@
 namespace {
 
 using namespace sptd;
+
+/// Refuses bad command-line input with the message alone; SPTD_CHECK is
+/// for programmer errors and also prints the expression and source line.
+void require(bool ok, const std::string& message) {
+  if (!ok) {
+    throw Error(message);
+  }
+}
 
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
@@ -57,8 +66,8 @@ void store(const SparseTensor& t, const std::string& path) {
 /// is refused.
 bool fixed_kernels_from_flag(const Options& cli, const char* cmd) {
   const std::string k = cli.get_string("kernels");
-  SPTD_CHECK(k == "fixed" || k == "generic",
-             std::string(cmd) + ": --kernels must be fixed|generic");
+  require(k == "fixed" || k == "generic",
+          std::string(cmd) + ": --kernels must be fixed|generic");
   return k == "fixed";
 }
 
@@ -67,7 +76,7 @@ int cmd_stats(int argc, const char* const* argv) {
   cli.add("csf", "two", "CSF policy for the storage report: one|two|all");
   cli.add_flag("no-csf", "skip the CSF storage report (skips the sort)");
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "stats: need a tensor file");
+  require(!cli.positional().empty(), "stats: need a tensor file");
   const SparseTensor t = load(cli.positional().front());
   const TensorStats s = compute_stats(t);
   std::printf("file:      %s\n", cli.positional().front().c_str());
@@ -159,7 +168,7 @@ int cmd_validate(int argc, const char* const* argv) {
   cli.add_flag("skip-bad-lines",
                "drop malformed .tns lines (counted) instead of failing");
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "validate: need a tensor file");
+  require(!cli.positional().empty(), "validate: need a tensor file");
   const SparseTensor t =
       load(cli.positional().front(), cli.get_bool("skip-bad-lines"));
   t.validate();  // throws on out-of-range indices / non-finite values
@@ -193,8 +202,9 @@ int cmd_validate(int argc, const char* const* argv) {
               duplicates ? "  (consider deduplicating)" : "");
   std::printf("empty slices: %llu%s\n",
               static_cast<unsigned long long>(empty_slices),
-              empty_slices ? "  (consider `sptd reorder` or remove-empty)"
-                           : "");
+              empty_slices
+                  ? "  (frostt_decompose --remove-empty compacts them)"
+                  : "");
   return 0;
 }
 
@@ -203,8 +213,7 @@ int cmd_convert(int argc, const char* const* argv) {
   cli.add_flag("skip-bad-lines",
                "drop malformed .tns lines (counted) instead of failing");
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(cli.positional().size() == 2,
-             "convert: need <input> <output>");
+  require(cli.positional().size() == 2, "convert: need <input> <output>");
   const SparseTensor t =
       load(cli.positional()[0], cli.get_bool("skip-bad-lines"));
   store(t, cli.positional()[1]);
@@ -220,7 +229,7 @@ int cmd_generate(int argc, const char* const* argv) {
   cli.add("scale", "0.01", "preset scale");
   cli.add("seed", "42", "generator seed");
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "generate: need an output file");
+  require(!cli.positional().empty(), "generate: need an output file");
   const auto cfg = find_preset(cli.get_string("preset"))
                        .scaled(cli.get_double("scale"),
                                static_cast<std::uint64_t>(
@@ -245,9 +254,9 @@ int cmd_cpd(int argc, const char* const* argv) {
   cli.add("csf-layout", "compressed",
           "CSF index widths: compressed (narrowest per level) | wide");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
+          "slice scheduling policy static|weighted|workstealing");
   cli.add("chunk", "16",
-          "dynamic/workstealing chunk target (claims per thread)");
+          "workstealing chunk target (claims per thread)");
   cli.add("kernels", "fixed",
           "inner-loop variant: fixed (rank-specialized SIMD) | generic");
   cli.add("precision", "f64",
@@ -269,7 +278,7 @@ int cmd_cpd(int argc, const char* const* argv) {
   cli.add_flag("nonneg", "non-negative CP");
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "cpd: need a tensor file");
+  require(!cli.positional().empty(), "cpd: need a tensor file");
   SparseTensor t = load(cli.positional().front());
 
   if (!cli.get_string("dist-grid").empty()) {
@@ -284,7 +293,7 @@ int cmd_cpd(int argc, const char* const* argv) {
     }
     DistOptions dopts;
     for (const int g : cli.get_int_list("dist-grid")) {
-      SPTD_CHECK(g >= 1, "cpd: --dist-grid extents must be >= 1");
+      require(g >= 1, "cpd: --dist-grid extents must be >= 1");
       dopts.grid.push_back(static_cast<idx_t>(g));
     }
     dopts.rank = static_cast<idx_t>(cli.get_int_at_least("rank", 1));
@@ -382,7 +391,7 @@ int cmd_tucker(int argc, const char* const* argv) {
   cli.add("csf-layout", "compressed",
           "CSF index widths: compressed (narrowest per level) | wide");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
+          "slice scheduling policy static|weighted|workstealing");
   cli.add("precision", "f64",
           "value-stream precision: f64 | f32 | mixed (fp32 streams, "
           "fp64 accumulation)");
@@ -392,12 +401,12 @@ int cmd_tucker(int argc, const char* const* argv) {
           "workers; composes across concurrent runs)");
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "tucker: need a tensor file");
+  require(!cli.positional().empty(), "tucker: need a tensor file");
   const SparseTensor t = load(cli.positional().front());
 
   TuckerOptions opts;
   for (const int extent : cli.get_int_list("core", 'x')) {
-    SPTD_CHECK(extent >= 1, "tucker: --core extents must be >= 1");
+    require(extent >= 1, "tucker: --core extents must be >= 1");
     opts.core_dims.push_back(static_cast<idx_t>(extent));
   }
   opts.max_iterations = cli.get_int_at_least("iters", 1);
@@ -434,9 +443,9 @@ int cmd_complete(int argc, const char* const* argv) {
           "SGD learning-rate decay: lr / (1 + decay * epoch)");
   cli.add("threads", "0", "threads (0 = all)");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
+          "slice scheduling policy static|weighted|workstealing");
   cli.add("chunk", "16",
-          "dynamic/workstealing chunk target (claims per thread)");
+          "workstealing chunk target (claims per thread)");
   cli.add("kernels", "fixed",
           "inner-loop variant: fixed (rank-specialized SIMD) | generic");
   cli.add("precision", "f64",
@@ -448,7 +457,7 @@ int cmd_complete(int argc, const char* const* argv) {
           "workers; composes across concurrent runs)");
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(!cli.positional().empty(), "complete: need a tensor file");
+  require(!cli.positional().empty(), "complete: need a tensor file");
   const SparseTensor t = load(cli.positional().front());
   const auto [train, test] = split_train_test(
       t, cli.get_double("holdout"),
@@ -498,32 +507,6 @@ int cmd_complete(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_reorder(int argc, const char* const* argv) {
-  Options cli("sptd reorder", "relabel tensor slices");
-  cli.add("policy", "frequency", "random|frequency");
-  cli.add("seed", "42", "seed for the random policy");
-  if (!cli.parse(argc, argv)) return 0;
-  SPTD_CHECK(cli.positional().size() == 2,
-             "reorder: need <input> <output>");
-  SparseTensor t = load(cli.positional()[0]);
-  const std::string policy = cli.get_string("policy");
-  if (policy == "random") {
-    shuffle_all_modes(t, static_cast<std::uint64_t>(cli.get_int("seed")));
-  } else if (policy == "frequency") {
-    std::vector<std::vector<idx_t>> maps;
-    for (int m = 0; m < t.order(); ++m) {
-      maps.push_back(frequency_order(t, m));
-    }
-    relabel(t, maps);
-  } else {
-    throw Error("reorder: unknown policy '" + policy + "'");
-  }
-  store(t, cli.positional()[1]);
-  std::printf("reordered (%s) -> %s\n", policy.c_str(),
-              cli.positional()[1].c_str());
-  return 0;
-}
-
 void usage() {
   std::fputs(
       "usage: sptd <command> [options]\n"
@@ -536,7 +519,6 @@ void usage() {
       "  tucker    Tucker decomposition (HOOI)\n"
       "  complete  tensor completion (als|sgd|ccd) with a validation "
       "holdout\n"
-      "  reorder   relabel tensor slices (random | frequency)\n"
       "each command accepts --help\n",
       stdout);
 }
@@ -560,7 +542,6 @@ int main(int argc, char** argv) {
     if (cmd == "cpd") return cmd_cpd(sub_argc, sub_argv);
     if (cmd == "tucker") return cmd_tucker(sub_argc, sub_argv);
     if (cmd == "complete") return cmd_complete(sub_argc, sub_argv);
-    if (cmd == "reorder") return cmd_reorder(sub_argc, sub_argv);
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
       usage();
       return 0;
