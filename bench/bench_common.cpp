@@ -22,7 +22,7 @@ void add_common_flags(Options& cli, const char* default_preset,
           "thread counts to sweep (paper: 1,2,4,8,16,32)");
   cli.add("seed", "42", "generator seed");
   cli.add("schedule", "weighted",
-          "slice scheduling policy: static|weighted|workstealing");
+          "slice scheduling policy: weighted|workstealing");
   cli.add("chunk", "16",
           "workstealing chunk target (claims per thread)");
   cli.add("kernels", "fixed",

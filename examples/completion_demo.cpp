@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.add("lr", "0.02", "SGD learning rate");
   cli.add("decay", "0.01", "SGD learning-rate decay");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|workstealing");
+          "slice scheduling policy weighted|workstealing");
   cli.add("threads", "0", "worker threads (0 = all)");
   cli.add("seed", "42", "seed");
   if (!cli.parse(argc, argv)) {

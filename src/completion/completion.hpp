@@ -64,13 +64,12 @@ struct CompletionOptions {
   double decay = 0.01;
   std::uint64_t seed = 31;
   int nthreads = 1;
-  /// Slice scheduling for the per-mode row/column passes (static |
-  /// weighted | workstealing); the schedules are built once per mode in
-  /// the workspace and reused across all iterations (reset() per pass
+  /// Slice scheduling for the per-mode row/column passes (weighted |
+  /// workstealing); the schedules are built once per mode in the
+  /// workspace and reused across all iterations (reset() per pass
   /// reseeds the work-stealing deques).
-  /// SGD stratum boundaries always come from a *static* prediction (the
-  /// weighted partition, or equal slice counts under kStatic) because
-  /// stratum ownership must not move at run time.
+  /// SGD stratum boundaries always come from the weighted partition
+  /// because stratum ownership must not move at run time.
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
   /// Work-stealing claims-per-thread target (the --chunk flag).
   int chunk_target = static_cast<int>(SliceSchedule::kDefaultChunkTarget);

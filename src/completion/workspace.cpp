@@ -59,12 +59,9 @@ ModeSlices build_mode_slices(const SparseTensor& t, int mode,
   return ms;
 }
 
-/// Builds the SGD stratum grid. Boundaries reuse the execution-plan
-/// layer's partitioners: a throwaway SliceSchedule per mode under the
-/// *static prediction* of the run's policy (kStatic keeps equal slice
-/// counts, everything else balances by observation count) — stratum
-/// ownership cannot move at run time, so the runtime policies fall back
-/// to their weighted seed.
+/// Builds the SGD stratum grid. Each mode is cut by the weighted nnz
+/// partition of its slices under every policy: stratum ownership cannot
+/// move at run time, so workstealing keeps its weighted seed here.
 StratumGrid build_strata(const SparseTensor& t,
                          const std::vector<ModeSlices>& slices,
                          const CompletionOptions& options) {
@@ -92,15 +89,10 @@ StratumGrid build_strata(const SparseTensor& t,
   }
   grid.side = side;
 
-  const SchedulePolicy bound_policy =
-      options.schedule == SchedulePolicy::kStatic ? SchedulePolicy::kStatic
-                                                  : SchedulePolicy::kWeighted;
   grid.mode_bounds.reserve(static_cast<std::size_t>(order));
   for (int m = 0; m < order; ++m) {
-    const SliceSchedule cut(bound_policy, t.dim(m),
-                            slices[static_cast<std::size_t>(m)].slice_ptr,
-                            side);
-    grid.mode_bounds.emplace_back(cut.bounds().begin(), cut.bounds().end());
+    grid.mode_bounds.push_back(weighted_partition(
+        slices[static_cast<std::size_t>(m)].slice_ptr, side));
   }
 
   // Bucket nonzeros by cell (mode-major cell id), CSR form, stable in the

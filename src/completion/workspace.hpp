@@ -43,8 +43,8 @@ struct ModeSlices {
 };
 
 /// The SGD stratum grid: each mode's index space is cut into S blocks by
-/// the weighted nnz partition (equal slice counts under kStatic), a cell
-/// is one block per mode, and nonzeros are bucketed by cell in CSR form.
+/// the weighted nnz partition, a cell is one block per mode, and nonzeros
+/// are bucketed by cell in CSR form.
 /// In sub-epoch (s_1..s_{N-1}) thread t owns cell
 /// (t, (t+s_1) mod S, ..., (t+s_{N-1}) mod S): any two threads differ in
 /// EVERY mode's block, so no factor row is ever shared, and over the

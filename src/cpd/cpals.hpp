@@ -37,7 +37,7 @@ struct CpalsOptions {
   RowAccess row_access = RowAccess::kPointer;
   LockKind lock_kind = LockKind::kOmp;
   /// Slice scheduling policy for the MTTKRP execution plan
-  /// (static | weighted | workstealing).
+  /// (weighted | workstealing).
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
   /// Workstealing claims-per-thread target
   /// (MttkrpOptions::chunk_target).

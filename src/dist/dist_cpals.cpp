@@ -57,23 +57,12 @@ CommVolume predict_comm_volume(const dims_t& dims, const dims_t& grid,
 namespace {
 
 /// Block boundaries of one mode's index space over grid[mode] locales:
-/// grid[m]+1 monotone row indices, either equal ranges or balanced by
-/// slice nonzero count.
+/// grid[m]+1 monotone row indices balanced by slice nonzero count.
 std::vector<idx_t> block_boundaries(const SparseTensor& x, int mode,
-                                    idx_t parts, bool weighted) {
-  const idx_t dim = x.dim(mode);
-  std::vector<idx_t> bounds(static_cast<std::size_t>(parts) + 1);
-  if (!weighted) {
-    for (idx_t p = 0; p < parts; ++p) {
-      bounds[p] = static_cast<idx_t>(
-          block_partition(dim, static_cast<int>(parts),
-                          static_cast<int>(p)).begin);
-    }
-    bounds[parts] = dim;
-    return bounds;
-  }
+                                    idx_t parts) {
   const std::vector<nnz_t> wb = weighted_partition(
-      slice_nnz_prefix(x.ind(mode), dim), static_cast<int>(parts));
+      slice_nnz_prefix(x.ind(mode), x.dim(mode)), static_cast<int>(parts));
+  std::vector<idx_t> bounds(wb.size());
   for (std::size_t p = 0; p < wb.size(); ++p) {
     bounds[p] = static_cast<idx_t>(wb[p]);
   }
@@ -102,8 +91,7 @@ DistPartition partition_tensor(const SparseTensor& x,
   std::vector<std::vector<idx_t>> block_of(static_cast<std::size_t>(order));
   for (int m = 0; m < order; ++m) {
     const idx_t parts = options.grid[static_cast<std::size_t>(m)];
-    const std::vector<idx_t> bounds =
-        block_boundaries(x, m, parts, options.weighted_blocks);
+    const std::vector<idx_t> bounds = block_boundaries(x, m, parts);
     auto& map = block_of[static_cast<std::size_t>(m)];
     map.assign(x.dim(m), 0);
     for (idx_t p = 0; p < parts; ++p) {

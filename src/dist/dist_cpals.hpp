@@ -48,11 +48,8 @@ struct DistOptions {
   idx_t rank = 10;
   int max_iterations = 10;
   std::uint64_t seed = 23;  ///< factor initialization seed (as CP-ALS)
-  /// Balance block boundaries by slice nonzero counts instead of equal
-  /// index ranges (the same weighted-vs-static choice as SliceSchedule).
-  bool weighted_blocks = true;
   /// Slice scheduling inside each locale's MTTKRP plan
-  /// (static | weighted | workstealing).
+  /// (weighted | workstealing).
   SchedulePolicy schedule = SchedulePolicy::kWeighted;
   /// Workstealing claims-per-thread target inside each locale's
   /// plan (MttkrpOptions::chunk_target).

@@ -79,7 +79,7 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
 namespace {
 /// Applies opts.backend process-wide and passes the options through: the
 /// workspace's first member initializer, so the backend is active before
-/// pool_ captures its BackendLock flavor.
+/// pool_ resolves its `omp` lock flavor.
 const MttkrpOptions& with_backend_applied(const MttkrpOptions& opts) {
   set_parallel_backend(opts.backend);
   return opts;

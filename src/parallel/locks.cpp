@@ -1,5 +1,7 @@
 #include "parallel/locks.hpp"
 
+#include "parallel/backend.hpp"
+
 namespace sptd {
 
 LockKind parse_lock_kind(const std::string& name) {
@@ -21,24 +23,28 @@ const char* lock_kind_name(LockKind kind) {
   return "?";
 }
 
-AnyMutexPool::AnyMutexPool(LockKind kind) : kind_(kind) {}
+AnyMutexPool::Pool AnyMutexPool::make_pool(LockKind kind) {
+  switch (kind) {
+    case LockKind::kSync:     return MutexPool<SyncVarLock>();
+    case LockKind::kAtomic:   return MutexPool<AtomicSpinLock>();
+    case LockKind::kFifoSync: return MutexPool<FifoSyncLock>();
+    case LockKind::kOmp:      break;
+  }
+  if (parallel_backend() == ParallelBackendKind::kOmp) {
+    return MutexPool<OmpLock>();
+  }
+  return MutexPool<FutexLock>();
+}
+
+AnyMutexPool::AnyMutexPool(LockKind kind)
+    : kind_(kind), pool_(make_pool(kind)) {}
 
 void AnyMutexPool::lock(idx_t id) {
-  switch (kind_) {
-    case LockKind::kSync:     sync_.lock(id); break;
-    case LockKind::kAtomic:   atomic_.lock(id); break;
-    case LockKind::kFifoSync: fifo_.lock(id); break;
-    case LockKind::kOmp:      omp_.lock(id); break;
-  }
+  std::visit([id](auto& pool) { pool.lock(id); }, pool_);
 }
 
 void AnyMutexPool::unlock(idx_t id) {
-  switch (kind_) {
-    case LockKind::kSync:     sync_.unlock(id); break;
-    case LockKind::kAtomic:   atomic_.unlock(id); break;
-    case LockKind::kFifoSync: fifo_.unlock(id); break;
-    case LockKind::kOmp:      omp_.unlock(id); break;
-  }
+  std::visit([id](auto& pool) { pool.unlock(id); }, pool_);
 }
 
 }  // namespace sptd

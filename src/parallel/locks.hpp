@@ -21,14 +21,14 @@
 ///  * `OmpLock` — omp_lock_t, what the reference C SPLATT uses.
 ///
 /// Since the backend split (parallel/backend.hpp) the `omp` legend entry
-/// maps to `BackendLock`: the backend-provided lock flavor. Under the omp
-/// backend it is omp_lock_t exactly as before; under the pool backend —
-/// where depending on libgomp for the hottest lock would be absurd — it
-/// is `FutexLock`, a spin-then-park mutex on a std::atomic word (the
-/// std::thread analogue of omp_lock_t: brief spin, then a futex sleep,
-/// like the pool's idle workers). The flavor is captured when the
-/// pool is constructed, which is why drivers apply `--backend` before
-/// building workspaces.
+/// names the backend-provided lock flavor. Under the omp backend it is
+/// omp_lock_t exactly as before; under the pool backend — where depending
+/// on libgomp for the hottest lock would be absurd — it is `FutexLock`, a
+/// spin-then-park mutex on a std::atomic word (the std::thread analogue
+/// of omp_lock_t: brief spin, then a futex sleep, like the pool's idle
+/// workers). AnyMutexPool resolves the flavor once, when it is
+/// constructed, which is why drivers apply `--backend` before building
+/// workspaces.
 ///
 /// All locks satisfy the same Lockable concept (`lock()`/`unlock()`), are
 /// default-constructible, and are cache-line padded inside MutexPool.
@@ -39,6 +39,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
+#include <vector>
 
 #include <omp.h>
 
@@ -46,7 +48,6 @@
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "parallel/backend.hpp"
 
 namespace sptd {
 
@@ -222,37 +223,6 @@ class FutexLock {
   std::atomic<std::uint32_t> state_{0};
 };
 
-/// The lock the `omp` LockKind resolves to: the active backend's native
-/// flavor, captured at construction (workspaces build their pools after
-/// drivers apply `--backend`, so the capture point is right). Under the
-/// omp backend this is omp_lock_t exactly as before the backend split —
-/// numerics and timing of every existing `--locks omp` run are unchanged.
-class BackendLock {
- public:
-  BackendLock() : omp_backed_(parallel_backend() == ParallelBackendKind::kOmp) {}
-
-  void lock() {
-    if (omp_backed_) {
-      omp_.lock();
-    } else {
-      futex_.lock();
-    }
-  }
-
-  void unlock() {
-    if (omp_backed_) {
-      omp_.unlock();
-    } else {
-      futex_.unlock();
-    }
-  }
-
- private:
-  bool omp_backed_;
-  OmpLock omp_;
-  FutexLock futex_;
-};
-
 /// Number of locks in a pool. SPLATT uses a fixed pool and hashes row ids
 /// into it; 1024 keeps the pool L2-resident while making collisions rare.
 inline constexpr std::size_t kMutexPoolSize = 1024;
@@ -279,7 +249,9 @@ class MutexPool {
 
 /// Runtime-selected mutex pool. Kernels that need a pool take one of these
 /// and pay a non-virtual branch only at lock/unlock; the paper's lock study
-/// (Figure 4) flips `kind` between runs.
+/// (Figure 4) flips `kind` between runs. Only the selected kind's pool is
+/// built; `kOmp` resolves to OmpLock or FutexLock by the backend active at
+/// construction.
 class AnyMutexPool {
  public:
   explicit AnyMutexPool(LockKind kind);
@@ -289,12 +261,20 @@ class AnyMutexPool {
 
   [[nodiscard]] LockKind kind() const { return kind_; }
 
+  /// True if the pool is built from \p LockT locks.
+  template <typename LockT>
+  [[nodiscard]] bool holds() const {
+    return std::holds_alternative<MutexPool<LockT>>(pool_);
+  }
+
  private:
+  using Pool = std::variant<MutexPool<SyncVarLock>, MutexPool<AtomicSpinLock>,
+                            MutexPool<FifoSyncLock>, MutexPool<OmpLock>,
+                            MutexPool<FutexLock>>;
+  static Pool make_pool(LockKind kind);
+
   LockKind kind_;
-  MutexPool<SyncVarLock> sync_;
-  MutexPool<AtomicSpinLock> atomic_;
-  MutexPool<FifoSyncLock> fifo_;
-  MutexPool<BackendLock> omp_;  // backend-provided flavor (see BackendLock)
+  Pool pool_;
 };
 
 /// RAII guard over a pool slot.

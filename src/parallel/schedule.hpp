@@ -13,8 +13,6 @@
 /// partitioning work.
 ///
 /// Policies:
-///  * static       — contiguous blocks of equal slice *count* (OpenMP
-///                   `schedule(static)`; Chapel's default `forall` split).
 ///  * weighted     — contiguous blocks of equal *nonzero* weight, SPLATT's
 ///                   balancing (the seed's only behaviour, still the
 ///                   default).
@@ -43,13 +41,11 @@ namespace sptd {
 
 /// How a kernel's outer slice loop is distributed over the team.
 enum class SchedulePolicy : int {
-  kStatic = 0,    ///< equal slice counts per thread
-  kWeighted,      ///< equal nonzero weight per thread (SPLATT)
+  kWeighted = 0,  ///< equal nonzero weight per thread (SPLATT)
   kWorkStealing,  ///< weighted seed + per-thread deques, idle threads steal
 };
 
-/// Parses "static" / "weighted" / "workstealing"; throws
-/// sptd::Error otherwise.
+/// Parses "weighted" / "workstealing"; throws sptd::Error otherwise.
 SchedulePolicy parse_schedule_policy(const std::string& name);
 
 /// Flag/log name of a policy.
@@ -63,22 +59,22 @@ std::uint64_t work_steal_count();
 
 /// One precomputed distribution of [0, total) slices over a fixed team.
 ///
-/// Static and weighted schedules are nthreads+1 boundaries fixed at
-/// construction; work-stealing schedules carry per-thread chunk deques,
-/// which must be reset() (reseeded) before each parallel region that
-/// consumes them. Construction is the only place partitioning work
-/// happens — for_ranges() on the hot path is a bounds lookup or an
-/// (almost always uncontended) CAS on the caller's own deque.
+/// Weighted schedules are nthreads+1 boundaries fixed at construction;
+/// work-stealing schedules carry per-thread chunk deques, which must be
+/// reset() (reseeded) before each parallel region that consumes them.
+/// Construction is the only place partitioning work happens —
+/// for_ranges() on the hot path is a bounds lookup or an (almost always
+/// uncontended) CAS on the caller's own deque.
 class SliceSchedule {
  public:
   SliceSchedule() = default;
 
   /// Builds the schedule for \p total slices on \p nthreads workers.
   /// \p weight_prefix (exclusive prefix sum, length total+1) is consulted
-  /// by the weighted and work-stealing policies; passing an empty span
-  /// degrades weighted to static and seeds work-stealing deques with equal
-  /// slice counts. \p chunk_target is consulted by the work-stealing
-  /// policy: each thread's block is cut into up to chunk_target chunks
+  /// by both policies; passing an empty span cuts equal slice counts
+  /// instead (the weighted bounds and the work-stealing seed alike).
+  /// \p chunk_target is consulted by the work-stealing policy: each
+  /// thread's block is cut into up to chunk_target chunks
   /// (MttkrpOptions::chunk_target / the --chunk flag).
   SliceSchedule(SchedulePolicy policy, nnz_t total,
                 std::span<const nnz_t> weight_prefix, int nthreads,
@@ -109,7 +105,7 @@ class SliceSchedule {
   [[nodiscard]] SchedulePolicy policy() const { return policy_; }
   [[nodiscard]] int nthreads() const { return nthreads_; }
 
-  /// Per-thread boundaries (nthreads+1) for static/weighted, and the
+  /// Per-thread boundaries (nthreads+1) for weighted, and the
   /// deque *seed* boundaries for workstealing (what each thread owns
   /// before any steal).
   [[nodiscard]] std::span<const nnz_t> bounds() const { return bounds_; }
@@ -133,7 +129,7 @@ class SliceSchedule {
   /// Rewinds the runtime policy: every work-stealing deque is reseeded
   /// with its owner's chunks. Must be called (from serial code) before
   /// every parallel region that consumes a work-stealing schedule; a no-op
-  /// for the precomputed policies. Each call opens a new launch *generation* —
+  /// for the weighted policy. Each call opens a new launch *generation* —
   /// at most nthreads() workers may enter for_ranges() per generation,
   /// which is how reuse-without-reset is caught (see generation()).
   void reset() const {
@@ -150,21 +146,20 @@ class SliceSchedule {
   }
 
   /// Number of reset() calls this schedule has seen (workstealing only;
-  /// the precomputed policies have no generations). Diagnostic
+  /// the weighted policy has no generations). Diagnostic
   /// counterpart of the launch-entry contract below.
   [[nodiscard]] std::uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
 
   /// Invokes fn(begin, end) for every contiguous slice range assigned to
-  /// \p tid. Static/weighted: exactly one range. Workstealing: the thread
+  /// \p tid. Weighted: exactly one range. Workstealing: the thread
   /// drains its own deque front-to-back (ascending slices, cache-friendly),
   /// then cycles over the other deques stealing one chunk at a time from
   /// the far end until a full pass finds every deque empty.
   template <typename Fn>
   void for_ranges(int tid, Fn&& fn) const {
-    if (policy_ == SchedulePolicy::kStatic ||
-        policy_ == SchedulePolicy::kWeighted) {
+    if (policy_ == SchedulePolicy::kWeighted) {
       const nnz_t begin = bounds_[static_cast<std::size_t>(tid)];
       const nnz_t end = bounds_[static_cast<std::size_t>(tid) + 1];
       if (begin < end) {
@@ -231,7 +226,7 @@ class SliceSchedule {
   /// steal counters. Returns false when the victim has nothing left. O(1).
   bool claim_steal(int victim, std::uint32_t* chunk) const;
 
-  SchedulePolicy policy_ = SchedulePolicy::kStatic;
+  SchedulePolicy policy_ = SchedulePolicy::kWeighted;
   int nthreads_ = 1;
   std::vector<nnz_t> bounds_;
   // Workstealing state: global chunk boundaries plus each owner's

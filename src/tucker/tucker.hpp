@@ -53,7 +53,7 @@ struct TuckerOptions {
   double tolerance = 1e-5; ///< fit-improvement stop (0 = run all)
   std::uint64_t seed = 17;
   int nthreads = 1;
-  /// Slice scheduling for the CSF TTMc kernels (static | weighted |
+  /// Slice scheduling for the CSF TTMc kernels (weighted |
   /// workstealing); one schedule per mode is built before the HOOI loop
   /// and reused across all iterations (reset() per launch reseeds the
   /// work-stealing deques).

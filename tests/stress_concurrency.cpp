@@ -573,7 +573,7 @@ TEST(PoolBackendStress, FutexLockNoLostWakeupWithParkedSleepers) {
   EXPECT_EQ(counter, static_cast<long>(kHammer) * kIters);
 }
 
-// BackendLock resolves to the futex flavor under the pool backend; the
+// kOmp resolves to the futex flavor under the pool backend; the
 // AnyMutexPool(kOmp) path is what MTTKRP workspaces actually build, so
 // stress that resolution end to end.
 TEST(PoolBackendStress, BackendLockPoolFlavorExcludes) {

@@ -167,9 +167,9 @@ TEST(BackendNesting, SingleThreadInlineIsNotARegion) {
 // ----------------------------------------------------------- lock pools
 
 TEST(BackendLockPool, MutualExclusionUnderPoolBackend) {
-  // LockKind::kOmp resolves to BackendLock; under the pool backend that
-  // is the FutexLock flavor. Hammer one AnyMutexPool from a pool-backend
-  // team and check the plain counters survived.
+  // LockKind::kOmp resolves to the FutexLock flavor under the pool
+  // backend. Hammer one AnyMutexPool from a pool-backend team and check
+  // the plain counters survived.
   BackendGuard guard;
   set_parallel_backend(ParallelBackendKind::kPool);
   AnyMutexPool pool(LockKind::kOmp);
@@ -188,6 +188,23 @@ TEST(BackendLockPool, MutualExclusionUnderPoolBackend) {
   long total = 0;
   for (const long c : counters) total += c;
   EXPECT_EQ(total, static_cast<long>(kTeam) * kIters);
+}
+
+TEST(BackendLockPool, BuildsOnlyTheSelectedKind) {
+  // Each kind builds one pool; kOmp picks its flavor from the backend
+  // active at construction and keeps it when the backend changes later.
+  BackendGuard guard;
+  set_parallel_backend(ParallelBackendKind::kOmp);
+  const AnyMutexPool omp_backed(LockKind::kOmp);
+  set_parallel_backend(ParallelBackendKind::kPool);
+  const AnyMutexPool pool_backed(LockKind::kOmp);
+  EXPECT_TRUE(omp_backed.holds<OmpLock>());
+  EXPECT_FALSE(omp_backed.holds<FutexLock>());
+  EXPECT_TRUE(pool_backed.holds<FutexLock>());
+  EXPECT_FALSE(pool_backed.holds<OmpLock>());
+  EXPECT_TRUE(AnyMutexPool(LockKind::kSync).holds<SyncVarLock>());
+  EXPECT_TRUE(AnyMutexPool(LockKind::kAtomic).holds<AtomicSpinLock>());
+  EXPECT_TRUE(AnyMutexPool(LockKind::kFifoSync).holds<FifoSyncLock>());
 }
 
 TEST(BackendLockPool, FutexLockIsMutualExclusive) {
@@ -223,14 +240,13 @@ struct SyncConfig {
 };
 
 constexpr SyncConfig kSyncConfigs[] = {
-    // Force the locked deposits (BackendLock under kOmp).
+    // Force the locked deposits (the backend's lock flavor under kOmp).
     {"locks", true, 0.0},
     // Force privatized per-thread buffers + deterministic reduction.
     {"privatize", false, 1e9},
 };
 
-constexpr SchedulePolicy kPolicies[] = {SchedulePolicy::kStatic,
-                                        SchedulePolicy::kWeighted,
+constexpr SchedulePolicy kPolicies[] = {SchedulePolicy::kWeighted,
                                         SchedulePolicy::kWorkStealing};
 
 class BackendMttkrpTest : public ::testing::Test {
@@ -272,7 +288,7 @@ TEST_F(BackendMttkrpTest, SingleThreadBitwiseAcrossBackends) {
   }
 }
 
-TEST_F(BackendMttkrpTest, StaticSchedulesPrivatizedBitwiseAtFourThreads) {
+TEST_F(BackendMttkrpTest, WeightedPrivatizedBitwiseAtFourThreads) {
   // Fixed per-thread slice ranges + fixed-order reduction: bitwise
   // across backends even multi-threaded.
   BackendGuard guard;
@@ -281,20 +297,15 @@ TEST_F(BackendMttkrpTest, StaticSchedulesPrivatizedBitwiseAtFourThreads) {
     SparseTensor work = base;
     const CsfSet set(work, CsfPolicy::kTwoMode, 4);
     const auto factors = make_factors(base, rank, 13);
-    for (const SchedulePolicy policy :
-         {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
-      MttkrpOptions opts = base_options(4, policy, kSyncConfigs[1]);
-      for (int mode = 0; mode < base.order(); ++mode) {
-        opts.backend = ParallelBackendKind::kOmp;
-        const la::Matrix omp_out =
-            run_mttkrp(set, factors, rank, mode, opts);
-        opts.backend = ParallelBackendKind::kPool;
-        const la::Matrix pool_out =
-            run_mttkrp(set, factors, rank, mode, opts);
-        EXPECT_EQ(omp_out.max_abs_diff(pool_out), 0.0)
-            << "rank " << rank << " mode " << mode << " "
-            << schedule_policy_name(policy);
-      }
+    MttkrpOptions opts =
+        base_options(4, SchedulePolicy::kWeighted, kSyncConfigs[1]);
+    for (int mode = 0; mode < base.order(); ++mode) {
+      opts.backend = ParallelBackendKind::kOmp;
+      const la::Matrix omp_out = run_mttkrp(set, factors, rank, mode, opts);
+      opts.backend = ParallelBackendKind::kPool;
+      const la::Matrix pool_out = run_mttkrp(set, factors, rank, mode, opts);
+      EXPECT_EQ(omp_out.max_abs_diff(pool_out), 0.0)
+          << "rank " << rank << " mode " << mode;
     }
   }
 }

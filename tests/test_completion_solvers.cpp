@@ -74,8 +74,7 @@ TEST(CompletionAlg, ParsesAndNames) {
 
 TEST(CompletionSolvers, AllConvergeAcrossSchedulesAndThreads) {
   const SparseTensor train = solver_fixture();
-  const SchedulePolicy policies[] = {SchedulePolicy::kStatic,
-                                     SchedulePolicy::kWeighted,
+  const SchedulePolicy policies[] = {SchedulePolicy::kWeighted,
                                      SchedulePolicy::kWorkStealing};
   for (const auto alg :
        {CompletionAlgorithm::kAls, CompletionAlgorithm::kSgd,

@@ -254,8 +254,7 @@ TEST(CsfCompressedMttkrp, MatchesWideAcrossRanksSchedulesSyncs) {
   const SparseTensor base = make_tensor({40, 300, 500}, 4000, 21, 0.7);
   for (const idx_t rank : {17u, 8u, 16u, 35u}) {
     for (const auto schedule :
-         {SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
-          SchedulePolicy::kWorkStealing}) {
+         {SchedulePolicy::kWeighted, SchedulePolicy::kWorkStealing}) {
       for (const SyncConfig& sync : kSyncConfigs) {
         MttkrpOptions opts;
         opts.nthreads = 3;

@@ -187,22 +187,19 @@ TEST(Dist, WeightedBlocksBalanceSkewedTensors) {
   opts.grid = {4, 1, 1};
   opts.rank = 2;
   opts.max_iterations = 1;
-  opts.weighted_blocks = false;
-  const DistResult uniform = dist_cp_als(x, opts);
-  opts.weighted_blocks = true;
-  const DistResult weighted = dist_cp_als(x, opts);
+  const DistResult r = dist_cp_als(x, opts);
 
-  const auto imbalance = [](const std::vector<nnz_t>& v) {
-    nnz_t mx = 0, total = 0;
-    for (const nnz_t n : v) {
-      mx = std::max(mx, n);
-      total += n;
-    }
-    return static_cast<double>(mx) /
-           (static_cast<double>(total) / static_cast<double>(v.size()));
-  };
-  EXPECT_LT(imbalance(weighted.locale_nnz),
-            imbalance(uniform.locale_nnz));
+  nnz_t mx = 0, total = 0;
+  for (const nnz_t n : r.locale_nnz) {
+    mx = std::max(mx, n);
+    total += n;
+  }
+  // Max locale over the mean: the weighted blocks read 1.09 here (the
+  // zipf head slice cannot be split), equal index ranges 2.87.
+  const double imbalance =
+      static_cast<double>(mx) / (static_cast<double>(total) /
+                                 static_cast<double>(r.locale_nnz.size()));
+  EXPECT_LT(imbalance, 1.15);
 }
 
 TEST(Dist, CommVolumeMatchesPrediction) {

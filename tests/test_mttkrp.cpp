@@ -411,7 +411,7 @@ TEST(Workspace, LastStrategyReportsDecision) {
 
 TEST(Workspace, AppliesItsBackendBeforeBuildingTheLockPool) {
   // The planless path must honor MttkrpOptions::backend: the workspace
-  // applies it before its lock pool captures a BackendLock flavor.
+  // applies it before its lock pool resolves the `omp` lock flavor.
   Fixture fx({10, 11, 12}, 300, 4, 750);
   SparseTensor work = fx.coo;
   const CsfSet set(work, CsfPolicy::kOneMode, 2);
@@ -462,8 +462,8 @@ la::Matrix run_scheduled_exec(const CsfTensor& csf,
   return out;
 }
 
-TEST(WorkStealingMttkrp, MatchesEveryOtherScheduleEverywhere) {
-  // The equivalence suite: workstealing vs static/weighted across
+TEST(WorkStealingMttkrp, MatchesWeightedEverywhere) {
+  // The equivalence suite: workstealing vs weighted across
   // roots x output modes x sync strategies x thread counts, within 1e-12.
   // A skewed fixture so the weighted seed and the chunk subdivision are
   // both non-trivial.
@@ -490,27 +490,24 @@ TEST(WorkStealingMttkrp, MatchesEveryOtherScheduleEverywhere) {
           const la::Matrix ws_out = run_scheduled_exec(
               csf, fx.factors, mode, fx.rank,
               SchedulePolicy::kWorkStealing, strategy, nthreads);
-          for (const SchedulePolicy ref :
-               {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
-            const la::Matrix ref_out = run_scheduled_exec(
-                csf, fx.factors, mode, fx.rank, ref, strategy, nthreads);
-            EXPECT_LT(ws_out.max_abs_diff(ref_out), 1e-12)
-                << "root " << root << " mode " << mode << " vs "
-                << schedule_policy_name(ref) << " strategy "
-                << sync_strategy_name(strategy) << " threads " << nthreads;
-          }
+          const la::Matrix ref_out = run_scheduled_exec(
+              csf, fx.factors, mode, fx.rank, SchedulePolicy::kWeighted,
+              strategy, nthreads);
+          EXPECT_LT(ws_out.max_abs_diff(ref_out), 1e-12)
+              << "root " << root << " mode " << mode << " strategy "
+              << sync_strategy_name(strategy) << " threads " << nthreads;
         }
       }
     }
   }
 }
 
-TEST(WorkStealingMttkrp, SkewedFixtureStealsAndMatchesStatic) {
+TEST(WorkStealingMttkrp, SkewedFixtureStealsAndMatchesWeighted) {
   // A hypersparse-style skew (zipf 1.2 concentrates nonzeros in few
   // slices). The schedule is sized for a 2-worker team but driven by a
   // 1-worker region — the limiting case of imbalance, where the second
   // worker never arrives — so the lone thread must steal deterministically
-  // on any box, and the output must still match the static schedule.
+  // on any box, and the output must still match the weighted schedule.
   SparseTensor coo = generate_synthetic(
       {.dims = {40, 20, 25}, .nnz = 3000, .seed = 41, .zipf_exponent = 1.2});
   const idx_t rank = 5;
@@ -536,7 +533,7 @@ TEST(WorkStealingMttkrp, SkewedFixtureStealsAndMatchesStatic) {
   EXPECT_GT(mp.slices.steals(), steals_before) << "no steal under imbalance";
 
   MttkrpOptions sopts;
-  sopts.schedule = SchedulePolicy::kStatic;
+  sopts.schedule = SchedulePolicy::kWeighted;
   MttkrpWorkspace sws(sopts, rank, 3);
   la::Matrix expected(coo.dim(mode), rank);
   mttkrp_csf_exec(plan_mode(csf, mode, rank, sopts), factors, expected, sws);

@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
     Precision, PrecisionLadderTest,
     ::testing::Combine(
         ::testing::Values(3, 8, 16, 35),
-        ::testing::Values(SchedulePolicy::kStatic, SchedulePolicy::kWeighted,
+        ::testing::Values(SchedulePolicy::kWeighted,
                           SchedulePolicy::kWorkStealing),
         ::testing::Bool()));
 

@@ -24,8 +24,7 @@
 namespace sptd {
 namespace {
 
-constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kStatic,
-                                           SchedulePolicy::kWeighted,
+constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kWeighted,
                                            SchedulePolicy::kWorkStealing};
 
 std::vector<nnz_t> uniform_prefix(nnz_t total) {
@@ -75,35 +74,42 @@ TEST(SchedulePolicy, ParseRoundTrips) {
 }
 
 TEST(SchedulePolicy, ParseRefusesDynamic) {
-  // OpenMP's shared-cursor `dynamic` is not a policy: its name is refused
-  // like any other, and the message lists the policies that exist.
-  try {
-    (void)parse_schedule_policy("dynamic");
-    ADD_FAILURE() << "dynamic accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("static|weighted|workstealing"),
-              std::string::npos)
-        << e.what();
+  // OpenMP's shared-cursor `dynamic` and equal-count `static` are not
+  // policies: their names are refused like any other, and the message
+  // lists the policies that exist.
+  for (const char* name : {"dynamic", "static"}) {
+    try {
+      (void)parse_schedule_policy(name);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("(expected weighted|workstealing)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
 // ----------------------------------------------------- partition shapes
 
-TEST(SliceSchedule, StaticBoundsCoverDisjointly) {
-  for (const nnz_t total : {0ULL, 1ULL, 7ULL, 100ULL, 10007ULL}) {
-    for (const int threads : {1, 2, 3, 8, 32}) {
-      const SliceSchedule sched(SchedulePolicy::kStatic, total, {}, threads);
-      const auto bounds = sched.bounds();
-      ASSERT_EQ(bounds.size(), static_cast<std::size_t>(threads) + 1);
-      EXPECT_EQ(bounds.front(), 0u);
-      EXPECT_EQ(bounds.back(), total);
-      for (int t = 0; t < threads; ++t) {
-        EXPECT_LE(bounds[static_cast<std::size_t>(t)],
-                  bounds[static_cast<std::size_t>(t) + 1]);
-        // Equal split: sizes differ by at most one.
-        const nnz_t size = bounds[static_cast<std::size_t>(t) + 1] -
-                           bounds[static_cast<std::size_t>(t)];
-        EXPECT_LE(size, total / static_cast<nnz_t>(threads) + 1);
+TEST(SliceSchedule, EmptyPrefixBoundsCoverDisjointly) {
+  // Without weights both policies cut equal slice counts: the weighted
+  // bounds and the work-stealing seed alike.
+  for (const SchedulePolicy policy : kAllPolicies) {
+    for (const nnz_t total : {0ULL, 1ULL, 7ULL, 100ULL, 10007ULL}) {
+      for (const int threads : {1, 2, 3, 8, 32}) {
+        const SliceSchedule sched(policy, total, {}, threads);
+        const auto bounds = sched.bounds();
+        ASSERT_EQ(bounds.size(), static_cast<std::size_t>(threads) + 1);
+        EXPECT_EQ(bounds.front(), 0u);
+        EXPECT_EQ(bounds.back(), total);
+        for (int t = 0; t < threads; ++t) {
+          EXPECT_LE(bounds[static_cast<std::size_t>(t)],
+                    bounds[static_cast<std::size_t>(t) + 1]);
+          // Equal split: sizes differ by at most one.
+          const nnz_t size = bounds[static_cast<std::size_t>(t) + 1] -
+                             bounds[static_cast<std::size_t>(t)];
+          EXPECT_LE(size, total / static_cast<nnz_t>(threads) + 1);
+        }
       }
     }
   }
@@ -132,10 +138,14 @@ TEST(SliceSchedule, WeightedBoundsBalanceSkewedWeights) {
   }
 }
 
-TEST(SliceSchedule, WeightedWithoutWeightsDegradesToStatic) {
+TEST(SliceSchedule, WeightedWithoutWeightsCutsEqualCounts) {
+  // The empty-prefix fallback keeps the policy and cuts OpenMP's
+  // schedule(static) blocks: sizes 3, 3, 2, 2 for 10 slices on 4 threads.
   const SliceSchedule sched(SchedulePolicy::kWeighted, 10, {}, 4);
-  EXPECT_EQ(sched.policy(), SchedulePolicy::kStatic);
-  EXPECT_EQ(sched.bounds().size(), 5u);
+  EXPECT_EQ(sched.policy(), SchedulePolicy::kWeighted);
+  EXPECT_EQ(std::vector<nnz_t>(sched.bounds().begin(), sched.bounds().end()),
+            (std::vector<nnz_t>{0, 3, 6, 8, 10}));
+  EXPECT_EQ(sched.chunk_count(), 0u);
 }
 
 // ------------------------------------------------------------- coverage
@@ -188,20 +198,16 @@ TEST(SliceSchedule, ResetAdvancesLaunchGeneration) {
 }
 
 TEST(SliceSchedule, PrecomputedPoliciesHaveNoEntryBudget) {
-  // Static/weighted bounds are pure functions of tid: re-entering
-  // without reset() is harmless and must stay legal (kernels re-read
-  // bounds freely), so the generation guard applies only to the
-  // stateful runtime policies.
+  // Weighted bounds are pure functions of tid: re-entering without
+  // reset() is harmless and must stay legal (kernels re-read bounds
+  // freely), so the generation guard applies only to the stateful
+  // runtime policy.
   const nnz_t total = 64;
   const auto prefix = uniform_prefix(total);
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
-    const SliceSchedule sched(policy, total, prefix, 4);
-    for (int round = 0; round < 3; ++round) {
-      for (int tid = 0; tid < 4; ++tid) {
-        EXPECT_NO_THROW(sched.for_ranges(tid, [](nnz_t, nnz_t) {}))
-            << schedule_policy_name(policy);
-      }
+  const SliceSchedule sched(SchedulePolicy::kWeighted, total, prefix, 4);
+  for (int round = 0; round < 3; ++round) {
+    for (int tid = 0; tid < 4; ++tid) {
+      EXPECT_NO_THROW(sched.for_ranges(tid, [](nnz_t, nnz_t) {}));
     }
   }
 }
@@ -346,7 +352,7 @@ std::vector<la::Matrix> plan_factors(const SparseTensor& t, idx_t rank) {
 
 /// Compares the planned MTTKRP against the planless path for every mode.
 /// Strategies with a fixed thread->output assignment (none, privatize
-/// under static/weighted schedules) must match BITWISE; the lock
+/// under the weighted schedule) must match BITWISE; the lock
 /// strategy and the runtime schedule (workstealing) only fix the per-row
 /// term sets, not their accumulation order, so those match to round-off.
 void expect_plan_matches_planless(const CsfSet& set,

@@ -271,7 +271,7 @@ expect_flag_refused() {  # <flag> <sptd command> <args...>
   shift 2
   if err="$("$BUILD_DIR/sptd" "$cmd" "$RES_DIR/smoke.tns" --iters 1 "$@" \
       2>&1 > /dev/null)"; then
-    echo "ci: sptd $cmd $* accepted an out-of-range --$flag" >&2
+    echo "ci: sptd $cmd $* accepted a bad --$flag value" >&2
     exit 1
   fi
   grep -q -- "--$flag" <<< "$err" \
@@ -300,8 +300,14 @@ expect_flag_refused dist-grid cpd --dist-grid 1,,1,1
 expect_flag_refused dist-grid cpd --dist-grid 1,1,1,
 # The helper passes --iters 1 before the arguments, so this one wins.
 expect_flag_refused iters cpd --iters 4294967298
+# Equal-count `static` is not a schedule policy; it is refused like any
+# unknown name.
+expect_flag_refused schedule cpd --schedule static
+expect_flag_refused schedule tucker --schedule static
+expect_flag_refused schedule complete --schedule static
 echo "ci: out-of-range --chunk/--threads/--dist-grid/--rank/--iters/"\
-"--checkpoint-every/--core and empty --core/--dist-grid entries refused"
+"--checkpoint-every/--core, empty --core/--dist-grid entries and"\
+" --schedule static refused"
 
 echo "== dist recovery smoke: SIGKILL a real rank, recover, bitwise =="
 # rank-kill:1@3 makes the rank-1 child SIGKILL itself mid-iteration; the

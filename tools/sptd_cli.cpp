@@ -71,6 +71,16 @@ bool fixed_kernels_from_flag(const Options& cli, const char* cmd) {
   return k == "fixed";
 }
 
+/// The --schedule choice; an unknown policy name is refused naming the
+/// flag.
+SchedulePolicy schedule_from_flag(const Options& cli) {
+  try {
+    return parse_schedule_policy(cli.get_string("schedule"));
+  } catch (const Error& e) {
+    throw Error(std::string("--schedule: ") + e.what());
+  }
+}
+
 int cmd_stats(int argc, const char* const* argv) {
   Options cli("sptd stats", "print tensor statistics");
   cli.add("csf", "two", "CSF policy for the storage report: one|two|all");
@@ -254,7 +264,7 @@ int cmd_cpd(int argc, const char* const* argv) {
   cli.add("csf-layout", "compressed",
           "CSF index widths: compressed (narrowest per level) | wide");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|workstealing");
+          "slice scheduling policy weighted|workstealing");
   cli.add("chunk", "16",
           "workstealing chunk target (claims per thread)");
   cli.add("kernels", "fixed",
@@ -299,7 +309,7 @@ int cmd_cpd(int argc, const char* const* argv) {
     dopts.rank = static_cast<idx_t>(cli.get_int_at_least("rank", 1));
     dopts.max_iterations = cli.get_int_at_least("iters", 1);
     dopts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    dopts.schedule = parse_schedule_policy(cli.get_string("schedule"));
+    dopts.schedule = schedule_from_flag(cli);
     dopts.chunk_target = cli.get_int_at_least("chunk", 1);
     dopts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
     dopts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
@@ -344,7 +354,7 @@ int cmd_cpd(int argc, const char* const* argv) {
   if (opts.nthreads == 0) opts.nthreads = hardware_threads();
   opts.csf_policy = parse_csf_policy(cli.get_string("csf"));
   opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
+  opts.schedule = schedule_from_flag(cli);
   opts.chunk_target = cli.get_int_at_least("chunk", 1);
   opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "cpd");
   opts.nonnegative = cli.get_bool("nonneg");
@@ -391,7 +401,7 @@ int cmd_tucker(int argc, const char* const* argv) {
   cli.add("csf-layout", "compressed",
           "CSF index widths: compressed (narrowest per level) | wide");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|workstealing");
+          "slice scheduling policy weighted|workstealing");
   cli.add("precision", "f64",
           "value-stream precision: f64 | f32 | mixed (fp32 streams, "
           "fp64 accumulation)");
@@ -415,7 +425,7 @@ int cmd_tucker(int argc, const char* const* argv) {
   opts.nthreads = cli.get_int_at_least("threads", 0);
   if (opts.nthreads == 0) opts.nthreads = hardware_threads();
   opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
+  opts.schedule = schedule_from_flag(cli);
   opts.precision = parse_precision(cli.get_string("precision"));
   opts.backend = parse_parallel_backend(cli.get_string("backend"));
   opts.resilience = resilience_from_flags(cli);
@@ -443,7 +453,7 @@ int cmd_complete(int argc, const char* const* argv) {
           "SGD learning-rate decay: lr / (1 + decay * epoch)");
   cli.add("threads", "0", "threads (0 = all)");
   cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|workstealing");
+          "slice scheduling policy weighted|workstealing");
   cli.add("chunk", "16",
           "workstealing chunk target (claims per thread)");
   cli.add("kernels", "fixed",
@@ -472,7 +482,7 @@ int cmd_complete(int argc, const char* const* argv) {
   opts.decay = cli.get_double("decay");
   opts.nthreads = cli.get_int_at_least("threads", 0);
   if (opts.nthreads == 0) opts.nthreads = hardware_threads();
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
+  opts.schedule = schedule_from_flag(cli);
   opts.chunk_target = cli.get_int_at_least("chunk", 1);
   opts.use_fixed_kernels = fixed_kernels_from_flag(cli, "complete");
   opts.precision = parse_precision(cli.get_string("precision"));
